@@ -325,127 +325,88 @@ requireNoCheckpoint(const Options &opt, const char *bench)
 namespace {
 
 /**
- * Per-benchmark serializers for the host-side dynamic state the
- * accelerator's commit lambdas mutate (union-find arrays, the mesh,
- * the LU matrix, produced-successor maps). Benchmarks whose state
- * lives entirely in device memory keep the empty defaults: the
- * host.state section is written with an empty payload so the file
- * layout is uniform across benchmarks.
+ * The whole checkpoint file as one visitor, run by the Writer at the
+ * save cycle and by the Reader right after the deterministic rebuild.
+ * The header sections pin the identity a restore must match: the
+ * structural config key (fatal on mismatch — the serialized state
+ * would not fit the machine), the full canonical key (warning only,
+ * enabling warmup-once-sweep-many runs where timing knobs such as the
+ * bandwidth scale differ), and the (benchmark, scale, seed) workload
+ * identity (fatal — a different workload makes the state
+ * meaningless). `host` visits the application's host-side state;
+ * benchmarks whose state lives entirely in device memory pass none,
+ * and their host.state section is empty so the layout stays uniform.
  */
-struct HostState
-{
-    std::function<void(ckpt::Writer &)> save = [](ckpt::Writer &) {};
-    std::function<void(ckpt::Reader &)> restore = [](ckpt::Reader &) {};
-};
-
-/**
- * Serialize a produced-successors map (token serial -> pod vector) in
- * sorted key order so the file bytes are independent of the
- * unordered_map's iteration order.
- */
-template <typename V>
 void
-saveProduced(ckpt::Writer &w,
-             const std::unordered_map<uint64_t, std::vector<V>> &m)
+visitCheckpoint(ckpt::Archive &ar, Accelerator &accel,
+                const AccelConfig &cfg, Bench b, const Workloads &w,
+                const std::function<void(ckpt::Archive &)> &host)
 {
-    std::vector<uint64_t> keys;
-    keys.reserve(m.size());
-    for (const auto &[serial, vec] : m)
-        keys.push_back(serial);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (uint64_t k : keys) {
-        w.u64(k);
-        w.vecPod(m.at(k));
-    }
+    std::string structural = configStructuralKey(cfg);
+    std::string canonical = configCanonicalKey(cfg);
+    ar.section("ckpt.config", structural, canonical);
+    if (structural != configStructuralKey(cfg))
+        fatal("checkpoint: ", ar.path(), " was saved on a structurally "
+              "different machine; saved [", structural,
+              "], this run builds [", configStructuralKey(cfg),
+              "] — restore requires identical structural knobs");
+    if (canonical != configCanonicalKey(cfg))
+        warn("checkpoint: ", ar.path(), " was saved under different "
+             "timing knobs; the restored run mixes the two regimes "
+             "(expected for warmup-reuse bandwidth sweeps, wrong "
+             "for byte-identity checks)");
+    std::string bench = benchName(b);
+    std::string scale = canonicalDouble(w.scale);
+    uint32_t seed = w.seed;
+    ar.section("ckpt.meta", bench, scale, seed);
+    if (bench != benchName(b))
+        fatal("checkpoint: ", ar.path(), " holds a ", bench,
+              " run, not ", benchName(b));
+    if (scale != canonicalDouble(w.scale) || seed != w.seed)
+        fatal("checkpoint: ", ar.path(),
+              " was saved at workload scale=", scale, " seed=", seed,
+              "; this run generates scale=", canonicalDouble(w.scale),
+              " seed=", w.seed,
+              " — the rebuilt workload would not match the "
+              "serialized state");
+    accel.visitState(ar);
+    ar.begin("host.state");
+    if (host)
+        host(ar);
+    ar.end();
 }
 
-template <typename V>
-void
-restoreProduced(ckpt::Reader &r,
-                std::unordered_map<uint64_t, std::vector<V>> &m)
+/** The host-side state visitor of an app whose commits mutate `st`. */
+template <typename State>
+std::function<void(ckpt::Archive &)>
+hostState(std::shared_ptr<State> st)
 {
-    m.clear();
-    uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n; ++i) {
-        uint64_t k = r.u64();
-        m[k] = r.vecPod<V>();
-    }
+    return [st](ckpt::Archive &ar) { st->visitState(ar); };
 }
 
 /**
  * Attach the checkpoint directives to a freshly built machine: restore
  * immediately (overlaying serialized state on the deterministic
- * rebuild), and/or schedule the save hook. The header sections pin the
- * identity a restore must match: the structural config key (fatal on
- * mismatch — the serialized state would not fit the machine), the full
- * canonical key (warning only, enabling warmup-once-sweep-many runs
- * where timing knobs such as the bandwidth scale differ), and the
- * (benchmark, scale, seed) workload identity (fatal — a different
- * workload makes the state meaningless).
+ * rebuild), and/or schedule the save hook.
  */
 void
 wireCheckpoint(Accelerator &accel, const AccelConfig &cfg, Bench b,
                const Workloads &w, const CheckpointOptions &ck,
-               const HostState &host)
+               std::function<void(ckpt::Archive &)> host = nullptr)
 {
     if (!ck.restorePrefix.empty()) {
-        std::string path = checkpointPath(ck.restorePrefix, b);
-        ckpt::Reader r(path);
-        r.begin("ckpt.config");
-        std::string structural = r.str();
-        std::string canonical = r.str();
-        r.end();
-        if (structural != configStructuralKey(cfg))
-            fatal("checkpoint: ", path, " was saved on a structurally "
-                  "different machine; saved [", structural,
-                  "], this run builds [", configStructuralKey(cfg),
-                  "] — restore requires identical structural knobs");
-        if (canonical != configCanonicalKey(cfg))
-            warn("checkpoint: ", path, " was saved under different "
-                 "timing knobs; the restored run mixes the two regimes "
-                 "(expected for warmup-reuse bandwidth sweeps, wrong "
-                 "for byte-identity checks)");
-        r.begin("ckpt.meta");
-        std::string bench = r.str();
-        std::string scale = r.str();
-        uint32_t seed = r.u32();
-        r.end();
-        if (bench != benchName(b))
-            fatal("checkpoint: ", path, " holds a ", bench,
-                  " run, not ", benchName(b));
-        if (scale != canonicalDouble(w.scale) || seed != w.seed)
-            fatal("checkpoint: ", path, " was saved at workload scale=",
-                  scale, " seed=", seed, "; this run generates scale=",
-                  canonicalDouble(w.scale), " seed=", w.seed,
-                  " — the rebuilt workload would not match the "
-                  "serialized state");
-        accel.ckptRestore(r);
-        r.begin("host.state");
-        host.restore(r);
-        r.end();
+        ckpt::Reader r(checkpointPath(ck.restorePrefix, b));
+        visitCheckpoint(r, accel, cfg, b, w, host);
         if (!r.atEnd())
-            fatal("checkpoint: ", path,
+            fatal("checkpoint: ", r.path(),
                   " has trailing data after the host.state section");
     }
     if (!ck.savePrefix.empty()) {
         std::string path = checkpointPath(ck.savePrefix, b);
         accel.scheduleCheckpointSave(
-            ck.saveCycle, [&accel, &cfg, b, &w, &host, path] {
+            ck.saveCycle, [&accel, &cfg, b, &w, host, path] {
                 ckpt::Writer wtr;
-                wtr.begin("ckpt.config");
-                wtr.str(configStructuralKey(cfg));
-                wtr.str(configCanonicalKey(cfg));
-                wtr.end();
-                wtr.begin("ckpt.meta");
-                wtr.str(benchName(b));
-                wtr.str(canonicalDouble(w.scale));
-                wtr.u32(w.seed);
-                wtr.end();
-                accel.ckptSave(wtr);
-                wtr.begin("host.state");
-                host.save(wtr);
-                wtr.end();
+                visitCheckpoint(wtr, accel, cfg, b, w, host);
                 wtr.finish(path);
             });
     }
@@ -484,8 +445,7 @@ runAccelerator(Bench b, const Workloads &w, AccelConfig cfg, bool verify,
                            : buildCoorBfs(w.road, 0, mem);
         Accelerator accel(app.spec, cfg, mem);
         // All BFS state lives in the device image (mem.sys section).
-        HostState host;
-        wireCheckpoint(accel, cfg, b, w, ck, host);
+        wireCheckpoint(accel, cfg, b, w, ck);
         out.rr = accel.run();
         auto levels = readLevels(app.img, mem);
         if (verify && levels != bfsSequential(w.road, 0))
@@ -507,8 +467,7 @@ runAccelerator(Bench b, const Workloads &w, AccelConfig cfg, bool verify,
         auto app = buildSpecSssp(w.road, 0, mem);
         Accelerator accel(app.spec, cfg, mem);
         // All SSSP state lives in the device image (mem.sys section).
-        HostState host;
-        wireCheckpoint(accel, cfg, b, w, ck, host);
+        wireCheckpoint(accel, cfg, b, w, ck);
         out.rr = accel.run();
         if (verify &&
             readDistances(app.img, mem) != ssspSequential(w.road, 0))
@@ -534,21 +493,7 @@ runAccelerator(Bench b, const Workloads &w, AccelConfig cfg, bool verify,
       case Bench::SpecMst: {
         auto app = buildSpecMst(w.road, mem);
         Accelerator accel(app.spec, cfg, mem);
-        HostState host;
-        MstState *st = app.state.get();
-        host.save = [st](ckpt::Writer &wtr) {
-            wtr.vecPod(st->parent);
-            wtr.u64(st->nextTicket);
-            wtr.u64(st->result.totalWeight);
-            wtr.u64(st->result.edgesInTree);
-        };
-        host.restore = [st](ckpt::Reader &r) {
-            st->parent = r.vecPod<uint32_t>();
-            st->nextTicket = r.u64();
-            st->result.totalWeight = r.u64();
-            st->result.edgesInTree = r.u64();
-        };
-        wireCheckpoint(accel, cfg, b, w, ck, host);
+        wireCheckpoint(accel, cfg, b, w, ck, hostState(app.state));
         out.rr = accel.run();
         if (verify) {
             MstResult ref = mstSequential(w.road);
@@ -576,42 +521,7 @@ runAccelerator(Bench b, const Workloads &w, AccelConfig cfg, bool verify,
         Mesh mesh = randomDelaunayMesh(w.meshPoints, w.seed);
         auto app = buildSpecDmr(std::move(mesh), params, mem);
         Accelerator accel(app.spec, cfg, mem);
-        HostState host;
-        DmrState *st = app.state.get();
-        // Triangles are serialized field-wise: the struct has padding
-        // after its bool, and padding bytes in the file would make the
-        // byte-identity contract depend on uninitialized memory.
-        host.save = [st](ckpt::Writer &wtr) {
-            wtr.vecPod(st->mesh.points());
-            const auto &tris = st->mesh.triangles();
-            wtr.u64(tris.size());
-            for (const Triangle &t : tris) {
-                for (int k = 0; k < 3; ++k)
-                    wtr.u32(t.v[k]);
-                for (int k = 0; k < 3; ++k)
-                    wtr.u32(t.nbr[k]);
-                wtr.b(t.alive);
-            }
-            wtr.u64(st->applied);
-            saveProduced(wtr, st->produced);
-        };
-        host.restore = [st](ckpt::Reader &r) {
-            auto points = r.vecPod<Point>();
-            uint64_t n = r.u64();
-            std::vector<Triangle> tris(n);
-            for (Triangle &t : tris) {
-                for (int k = 0; k < 3; ++k)
-                    t.v[k] = r.u32();
-                for (int k = 0; k < 3; ++k)
-                    t.nbr[k] = r.u32();
-                t.alive = r.b();
-            }
-            st->mesh.restoreTopology(std::move(points),
-                                     std::move(tris));
-            st->applied = r.u64();
-            restoreProduced(r, st->produced);
-        };
-        wireCheckpoint(accel, cfg, b, w, ck, host);
+        wireCheckpoint(accel, cfg, b, w, ck, hostState(app.state));
         out.rr = accel.run();
         if (verify) {
             auto res = summarizeMesh(app.state->mesh, params,
@@ -637,53 +547,7 @@ runAccelerator(Bench b, const Workloads &w, AccelConfig cfg, bool verify,
         BlockSparseMatrix ref = a;
         auto app = buildCoorLu(std::move(a), mem);
         Accelerator accel(app.spec, cfg, mem);
-        HostState host;
-        LuState *st = app.state.get();
-        host.save = [st](ckpt::Writer &wtr) {
-            const BlockSparseMatrix &m = st->a;
-            wtr.u32(m.numBlockRows());
-            wtr.u32(m.blockSize());
-            auto coords = m.structure(); // row-major (sorted) order
-            wtr.u64(coords.size());
-            for (auto [i, j] : coords) {
-                wtr.u32(i);
-                wtr.u32(j);
-                wtr.vecPod(m.block(i, j).data());
-            }
-            wtr.vecPod(st->trsmLeft);
-            wtr.vecPod(st->gemmLeft);
-            wtr.u64(st->ops.factor);
-            wtr.u64(st->ops.trsm);
-            wtr.u64(st->ops.gemm);
-            saveProduced(wtr, st->produced);
-        };
-        host.restore = [st](ckpt::Reader &r) {
-            uint32_t n = r.u32();
-            uint32_t bsize = r.u32();
-            if (n != st->a.numBlockRows() ||
-                bsize != st->a.blockSize())
-                fatal("checkpoint: saved LU matrix is ", n, "x", n,
-                      " blocks of ", bsize, ", rebuilt matrix is ",
-                      st->a.numBlockRows(), "x", st->a.numBlockRows(),
-                      " blocks of ", st->a.blockSize());
-            // Fill-in blocks appear dynamically; rebuild the block set
-            // from scratch rather than patching the generator's.
-            BlockSparseMatrix fresh(n, bsize);
-            uint64_t count = r.u64();
-            for (uint64_t k = 0; k < count; ++k) {
-                uint32_t i = r.u32();
-                uint32_t j = r.u32();
-                fresh.block(i, j).data() = r.vecPod<double>();
-            }
-            st->a = std::move(fresh);
-            st->trsmLeft = r.vecPod<uint32_t>();
-            st->gemmLeft = r.vecPod<uint32_t>();
-            st->ops.factor = r.u64();
-            st->ops.trsm = r.u64();
-            st->ops.gemm = r.u64();
-            restoreProduced(r, st->produced);
-        };
-        wireCheckpoint(accel, cfg, b, w, ck, host);
+        wireCheckpoint(accel, cfg, b, w, ck, hostState(app.state));
         out.rr = accel.run();
         if (verify) {
             sparseLuSequential(ref);

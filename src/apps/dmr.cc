@@ -133,6 +133,20 @@ dmrParallelEmulated(Mesh &mesh, const RefineParams &params,
     return {summarizeMesh(mesh, params, applied), emu.emulatedSeconds()};
 }
 
+void
+DmrState::visitState(ckpt::Archive &ar)
+{
+    // Restore replaces the whole triangulation (restoreTopology
+    // recounts the alive triangles).
+    std::vector<Point> points = mesh.points();
+    std::vector<Triangle> tris = mesh.triangles();
+    ar(points, tris);
+    if (ar.loading())
+        mesh.restoreTopology(std::move(points), std::move(tris));
+    ar(applied);
+    ar.sortedMap(produced);
+}
+
 DmrAccel
 buildSpecDmr(Mesh mesh, const RefineParams &params, MemorySystem &mem)
 {

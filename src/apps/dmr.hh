@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "checkpoint/ckpt.hh"
 #include "compile/accel_spec.hh"
 #include "core/app_spec.hh"
 #include "cpumodel/multicore.hh"
@@ -57,6 +58,9 @@ struct DmrState
     uint64_t applied = 0;
     /** New bad triangles produced by each commit, by token serial. */
     std::unordered_map<uint64_t, std::vector<TriId>> produced;
+
+    /** Checkpoint visitor: the host-side state the commits mutate. */
+    void visitState(ckpt::Archive &ar);
 };
 
 /** A built DMR accelerator. */

@@ -214,6 +214,29 @@ luParallelEmulated(BlockSparseMatrix &a, const MulticoreConfig &cfg)
     return {ops, emu.emulatedSeconds()};
 }
 
+void
+LuState::visitState(ckpt::Archive &ar)
+{
+    uint32_t n = a.numBlockRows();
+    uint32_t bsize = a.blockSize();
+    ar(n, bsize);
+    if (n != a.numBlockRows() || bsize != a.blockSize())
+        fatal("checkpoint: saved LU matrix is ", n, "x", n,
+              " blocks of ", bsize, ", rebuilt matrix is ",
+              a.numBlockRows(), "x", a.numBlockRows(), " blocks of ",
+              a.blockSize());
+    // Fill-in blocks appear dynamically; restore rebuilds the block
+    // set from scratch rather than patching the generator's.
+    auto coords = a.structure(); // row-major (sorted) order
+    ar(coords);
+    if (ar.loading())
+        a = BlockSparseMatrix(n, bsize);
+    for (auto [i, j] : coords)
+        ar.fixed(a.block(i, j).data(), "values in an LU block");
+    ar(trsmLeft, gemmLeft, ops);
+    ar.sortedMap(produced);
+}
+
 LuAccel
 buildCoorLu(BlockSparseMatrix a, MemorySystem &mem)
 {

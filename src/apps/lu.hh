@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "checkpoint/ckpt.hh"
 #include "compile/accel_spec.hh"
 #include "core/app_spec.hh"
 #include "cpumodel/multicore.hh"
@@ -54,6 +55,9 @@ struct LuState
     /** Successor ops produced by each commit, by token serial. */
     std::unordered_map<uint64_t,
                        std::vector<std::array<Word, 4>>> produced;
+
+    /** Checkpoint visitor: the host-side state the commits mutate. */
+    void visitState(ckpt::Archive &ar);
 };
 
 /** A built LU accelerator. */

@@ -18,6 +18,7 @@
 #include "compile/accel_spec.hh"
 #include "core/app_spec.hh"
 #include "apps/bfs.hh" // EmulatedRun
+#include "checkpoint/ckpt.hh"
 #include "cpumodel/multicore.hh"
 #include "graph/csr.hh"
 #include "mem/memsys.hh"
@@ -63,6 +64,13 @@ struct MstState
             x = parent[x];
         }
         return x;
+    }
+
+    /** Checkpoint visitor: the host-side state the commits mutate. */
+    void
+    visitState(ckpt::Archive &ar)
+    {
+        ar(parent, nextTicket, result);
     }
 };
 

@@ -1,6 +1,7 @@
 #include "checkpoint/ckpt.hh"
 
 #include <cstdio>
+#include <cstring>
 
 #include "support/logging.hh"
 
@@ -11,7 +12,19 @@ static constexpr char kMagic[8] = {'A', 'P', 'I', 'R',
                                    'C', 'K', 'P', 'T'};
 
 void
-Writer::raw(const void *p, size_t n)
+Archive::count(uint64_t built, std::string_view what)
+{
+    uint64_t saved = built;
+    (*this)(saved);
+    if (saved != built) {
+        fatal("checkpoint: '", path_, "' has ", saved, " ", what,
+              ", this machine has ", built,
+              " — restore requires the same structural config");
+    }
+}
+
+void
+Writer::bytes(void *p, size_t n)
 {
     const auto *b = static_cast<const uint8_t *>(p);
     buf_.insert(buf_.end(), b, b + n);
@@ -23,10 +36,11 @@ Writer::begin(const std::string &name)
     APIR_ASSERT(openSection_.empty(),
                 "checkpoint sections must not nest");
     openSection_ = name;
-    u32(static_cast<uint32_t>(name.size()));
-    raw(name.data(), name.size());
+    uint32_t nameLen = static_cast<uint32_t>(name.size());
+    bytes(&nameLen, sizeof(nameLen));
+    buf_.insert(buf_.end(), name.begin(), name.end());
     lenPatchAt_ = buf_.size();
-    u64(0); // payload length, patched by end()
+    buf_.resize(buf_.size() + sizeof(uint64_t)); // patched by end()
 }
 
 void
@@ -59,8 +73,9 @@ Writer::finish(const std::string &path) const
         fatal("checkpoint: short write to '", path, "'");
 }
 
-Reader::Reader(const std::string &path) : path_(path)
+Reader::Reader(const std::string &path) : Archive(true)
 {
+    path_ = path;
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         fatal("checkpoint: cannot open '", path, "'");
@@ -107,7 +122,20 @@ Reader::checkAvail(uint64_t n, const char *what) const
 }
 
 void
-Reader::raw(void *p, size_t n)
+Reader::need(uint64_t n, size_t each)
+{
+    size_t left = (inSection_ ? sectionEnd_ : buf_.size()) - pos_;
+    if (n > left / each) {
+        fatal("checkpoint: '", path_, "' claims ", n,
+              " elements but only ", left, " bytes remain",
+              inSection_ ? " in section '" : "",
+              inSection_ ? openSection_.c_str() : "",
+              inSection_ ? "'" : "", " — truncated or corrupt file");
+    }
+}
+
+void
+Reader::bytes(void *p, size_t n)
 {
     checkAvail(n, "value");
     std::memcpy(p, &buf_[pos_], n);

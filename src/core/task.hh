@@ -82,6 +82,14 @@ struct SwTask
      * Drives the liveness subsystem's exponential fallback backoff.
      */
     uint32_t retries = 0;
+
+    /** Checkpoint visitor (ckpt::Archive): field-wise, no padding. */
+    template <typename Ar>
+    void
+    visitState(Ar &ar)
+    {
+        ar(set, index, data, retries);
+    }
 };
 
 /**

@@ -29,6 +29,14 @@ struct Triangle
     uint32_t v[3];
     TriId nbr[3]; // nbr[i] shares edge (v[(i+1)%3], v[(i+2)%3])
     bool alive = true;
+
+    /** Checkpoint visitor (ckpt::Archive): field-wise, no padding. */
+    template <typename Ar>
+    void
+    visitState(Ar &ar)
+    {
+        ar(v, nbr, alive);
+    }
 };
 
 /**

@@ -33,6 +33,14 @@ struct Point
     {
         return a.x == b.x && a.y == b.y;
     }
+
+    /** Checkpoint visitor (ckpt::Archive): doubles go field-wise. */
+    template <typename Ar>
+    void
+    visitState(Ar &ar)
+    {
+        ar(x, y);
+    }
 };
 
 /** Squared Euclidean distance. */

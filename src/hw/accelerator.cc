@@ -198,10 +198,9 @@ RunResult
 Accelerator::run()
 {
     RunResult res;
-    // cycle_ and busyStageCycles_ are members: 0 on a fresh machine,
-    // the saved position after ckptRestore (resume, don't rewind).
-    if (!restored_)
-        lastProgressCycle_ = 0;
+    // cycle_, busyStageCycles_ and lastProgressCycle_ are members: 0 on
+    // a fresh machine, the saved position after a checkpoint restore
+    // (resume, don't rewind).
     uint64_t cycle = cycle_;
     res.startCycle = cycle;
 
@@ -439,134 +438,32 @@ Accelerator::scheduleCheckpointSave(uint64_t cycle,
 }
 
 void
-Accelerator::ckptSave(ckpt::Writer &w) const
+Accelerator::visitState(ckpt::Archive &ar)
 {
-    w.begin("accel.core");
-    w.u64(cycle_);
-    w.u64(busyStageCycles_);
-    w.u64(serial_);
-    w.u64(hostPos_);
-    w.u64(lastProgressCycle_);
-    w.u64(sampledBusyCycles_);
-    w.end();
-
-    w.begin("accel.tracker");
-    tracker_.ckptSave(w);
-    w.end();
-
-    w.begin("accel.liveness");
-    liveness_->ckptSave(w);
-    w.end();
-
-    w.begin("accel.engines");
-    w.u64(engines_.size());
-    for (const auto &e : engines_)
-        e->ckptSave(w);
-    w.end();
-
-    w.begin("accel.queues");
-    w.u64(queues_.size());
-    for (const auto &q : queues_)
-        q->ckptSave(w);
-    w.end();
-
-    w.begin("accel.fifos");
-    w.u64(fifos_.size());
-    for (const auto &f : fifos_)
-        f->ckptSave(w);
-    w.end();
-
-    w.begin("accel.rdv");
-    w.u64(rdvGroups_.size());
-    for (const auto &g : rdvGroups_)
-        g->ckptSave(w);
-    w.end();
-
-    w.begin("accel.stages");
-    w.u64(stages_.size());
-    for (const auto &s : stages_)
-        s->ckptSave(w);
-    w.end();
-
-    w.begin("mem.sys");
-    mem_.ckptSave(w);
-    w.end();
-}
-
-void
-Accelerator::ckptRestore(ckpt::Reader &r)
-{
-    if (cfg_.trace || cfg_.tracer) {
-        fatal("checkpoint: cannot restore '", r.path(),
+    if (ar.loading() && (cfg_.trace || cfg_.tracer)) {
+        fatal("checkpoint: cannot restore '", ar.path(),
               "' with trace hooks attached — trace events before the "
               "checkpoint cannot be replayed, so the restored trace "
               "would silently omit them; run the tracer on an "
               "uninterrupted run instead");
     }
-
-    r.begin("accel.core");
-    cycle_ = r.u64();
-    busyStageCycles_ = r.u64();
-    serial_ = r.u64();
-    hostPos_ = r.u64();
-    lastProgressCycle_ = r.u64();
-    sampledBusyCycles_ = r.u64();
-    r.end();
-
-    r.begin("accel.tracker");
-    tracker_.ckptRestore(r);
-    r.end();
-
+    ar.section("accel.core", cycle_, busyStageCycles_, serial_, hostPos_,
+               lastProgressCycle_, sampledBusyCycles_);
+    ar.section("accel.tracker", tracker_);
     // Field-direct restore: LivenessUnit::refreshOwner() would call
     // mem_.unpinAll() and wipe the pinned lines restored below.
-    r.begin("accel.liveness");
-    liveness_->ckptRestore(r);
-    r.end();
-
-    auto checkCount = [&r](uint64_t saved, size_t built,
-                           const char *what) {
-        if (saved != built) {
-            fatal("checkpoint: '", r.path(), "' has ", saved, " ",
-                  what, ", this machine has ", built,
-                  " — restore requires the same structural config");
-        }
+    ar.section("accel.liveness", *liveness_);
+    auto units = [&ar](const char *name, auto &v, const char *what) {
+        ar.begin(name);
+        ar.fixed(v, what);
+        ar.end();
     };
-
-    r.begin("accel.engines");
-    checkCount(r.u64(), engines_.size(), "rule engines");
-    for (auto &e : engines_)
-        e->ckptRestore(r);
-    r.end();
-
-    r.begin("accel.queues");
-    checkCount(r.u64(), queues_.size(), "task queues");
-    for (auto &q : queues_)
-        q->ckptRestore(r);
-    r.end();
-
-    r.begin("accel.fifos");
-    checkCount(r.u64(), fifos_.size(), "pipeline FIFOs");
-    for (auto &f : fifos_)
-        f->ckptRestore(r);
-    r.end();
-
-    r.begin("accel.rdv");
-    checkCount(r.u64(), rdvGroups_.size(), "rendezvous groups");
-    for (auto &g : rdvGroups_)
-        g->ckptRestore(r);
-    r.end();
-
-    r.begin("accel.stages");
-    checkCount(r.u64(), stages_.size(), "stages");
-    for (auto &s : stages_)
-        s->ckptRestore(r);
-    r.end();
-
-    r.begin("mem.sys");
-    mem_.ckptRestore(r);
-    r.end();
-
-    restored_ = true;
+    units("accel.engines", engines_, "rule engines");
+    units("accel.queues", queues_, "task queues");
+    units("accel.fifos", fifos_, "pipeline FIFOs");
+    units("accel.rdv", rdvGroups_, "rendezvous groups");
+    units("accel.stages", stages_, "stages");
+    ar.section("mem.sys", mem_);
 }
 
 } // namespace apir

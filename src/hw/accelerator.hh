@@ -99,7 +99,7 @@ class Accelerator
      * Arm a checkpoint save: at the top of simulated cycle `cycle` —
      * before the host tick and every stage tick of that cycle — `hook`
      * runs once. The hook (installed by the harness) owns the file:
-     * it writes the config/meta header sections, calls ckptSave(), and
+     * it writes the config/meta header sections, calls visitState(), and
      * appends the application's host-side state. The fast-forward jump
      * is bounded by the save cycle so the hook always fires exactly
      * there; by the idle-skip byte-identity contract the extra
@@ -111,21 +111,18 @@ class Accelerator
                                 std::function<void()> hook);
 
     /**
-     * Serialize every machine-state section: core loop state, live
-     * keys, liveness, rule engines, task queues, pipeline FIFOs,
-     * rendezvous groups, stages, and the memory system. The wake
-     * calendar is a pure cache (reset at run() start) and the arena is
-     * an allocator — neither carries simulated state.
+     * Checkpoint visitor over every machine-state section: core loop
+     * state, live keys, liveness, rule engines, task queues, pipeline
+     * FIFOs, rendezvous groups, stages, and the memory system. The
+     * wake calendar is a pure cache (reset at run() start) and the
+     * arena is an allocator — neither carries simulated state.
+     *
+     * Restoring overlays the sections onto this freshly built
+     * accelerator; the next run() resumes at the saved cycle. Trace
+     * hooks are rejected: events before the checkpoint cannot be
+     * replayed, so a restored trace would silently lie.
      */
-    void ckptSave(ckpt::Writer &w) const;
-
-    /**
-     * Overlay the machine-state sections of a checkpoint onto this
-     * freshly built accelerator; the next run() resumes at the saved
-     * cycle. Trace hooks are rejected: events before the checkpoint
-     * cannot be replayed, so a restored trace would silently lie.
-     */
-    void ckptRestore(ckpt::Reader &r);
+    void visitState(ckpt::Archive &ar);
 
   private:
     void buildPipelines();
@@ -189,7 +186,6 @@ class Accelerator
      */
     uint64_t cycle_ = 0;
     uint64_t busyStageCycles_ = 0;
-    bool restored_ = false; //!< run() resumes at cycle_ instead of 0
     /** Busy-stage cycles observed inside measured sampling windows. */
     uint64_t sampledBusyCycles_ = 0;
     uint64_t saveCycle_ = ~0ull; //!< armed checkpoint-save cycle

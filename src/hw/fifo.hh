@@ -137,60 +137,31 @@ class SimFifo
     }
 
     /**
-     * Serialize queued items (ring then side deque, FIFO order) with
-     * their visibility cycles. Absolute head_/tail_ counters are not
-     * saved: only their difference is observable, and the restore path
-     * rebuilds a left-justified ring.
+     * Checkpoint visitor: queued items (ring then side deque, FIFO
+     * order) with their visibility cycles. Absolute head_/tail_
+     * counters are not saved: only their difference is observable, and
+     * restore rebuilds a left-justified ring.
      */
     void
-    ckptSave(ckpt::Writer &w) const
+    visitState(ckpt::Archive &ar)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "SimFifo checkpointing needs a pod item type");
-        w.u32(capacity_);
-        w.u64(maxOccupancy_);
-        w.u64(tail_ - head_);
-        for (uint64_t i = head_; i != tail_; ++i) {
-            const Slot &s = ring_[i & mask_];
-            w.u64(s.visibleAt);
-            w.pod(s.item);
-        }
-        w.u64(side_.size());
-        for (const auto &[vis, item] : side_) {
-            w.u64(vis);
-            w.pod(item);
-        }
-    }
-
-    /** Overwrite the FIFO's contents from a checkpoint. */
-    void
-    ckptRestore(ckpt::Reader &r)
-    {
-        uint32_t cap = r.u32();
-        if (cap != capacity_) {
-            fatal("checkpoint: FIFO capacity mismatch (saved ", cap,
-                  ", this machine has ", capacity_,
-                  ") — restore requires the same structural config");
-        }
-        maxOccupancy_ = r.u64();
-        ring_.clear();
-        head_ = tail_ = 0;
-        mask_ = 0;
-        uint64_t ringItems = r.u64();
-        for (uint64_t i = 0; i < ringItems; ++i) {
-            if (tail_ - head_ == ring_.size())
+        ar.count(capacity_, "slots of FIFO capacity");
+        uint64_t used = tail_ - head_;
+        ar(maxOccupancy_, used);
+        if (ar.loading()) {
+            if (used > capacity_)
+                fatal("checkpoint: '", ar.path(), "' has ", used,
+                      " items in a FIFO ring of capacity ", capacity_,
+                      " — corrupt file");
+            ring_.clear();
+            head_ = tail_ = mask_ = 0;
+            while (ring_.size() < used)
                 grow();
-            Slot &s = ring_[tail_ & mask_];
-            s.visibleAt = r.u64();
-            s.item = r.template pod<T>();
-            ++tail_;
+            tail_ = used;
         }
-        side_.clear();
-        uint64_t sideItems = r.u64();
-        for (uint64_t i = 0; i < sideItems; ++i) {
-            uint64_t vis = r.u64();
-            side_.emplace_back(vis, r.template pod<T>());
-        }
+        for (uint64_t i = head_; i != tail_; ++i)
+            ar(ring_[i & mask_]);
+        ar(side_);
     }
 
   private:
@@ -198,6 +169,12 @@ class SimFifo
     {
         uint64_t visibleAt = 0;
         T item{};
+
+        void
+        visitState(ckpt::Archive &ar)
+        {
+            ar(visibleAt, item);
+        }
     };
 
     /**

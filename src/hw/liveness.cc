@@ -105,32 +105,6 @@ LivenessUnit::backoffDelay(const HwOrderKey &key, uint32_t streak,
 }
 
 void
-LivenessUnit::ckptSave(ckpt::Writer &w) const
-{
-    ckptSaveKeySet(w, retrying_);
-    w.b(owner_.has_value());
-    if (owner_)
-        ckptSaveKey(w, *owner_);
-    ckpt::save(w, squashRetries_);
-    ckpt::save(w, backoffStallCycles_);
-    ckpt::save(w, ownerChanges_);
-    w.u64(maxStreak_);
-}
-
-void
-LivenessUnit::ckptRestore(ckpt::Reader &r)
-{
-    ckptRestoreKeySet(r, retrying_);
-    owner_.reset();
-    if (r.b())
-        owner_ = ckptReadKey(r);
-    ckpt::restore(r, squashRetries_);
-    ckpt::restore(r, backoffStallCycles_);
-    ckpt::restore(r, ownerChanges_);
-    maxStreak_ = r.u64();
-}
-
-void
 LivenessUnit::registerStats(StatRegistry &reg,
                             const std::string &component) const
 {

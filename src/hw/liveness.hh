@@ -145,14 +145,18 @@ class LivenessUnit
     void registerStats(StatRegistry &reg,
                        const std::string &component) const;
 
-    /** Serialize retry/owner/counter state (docs/checkpointing.md). */
-    void ckptSave(ckpt::Writer &w) const;
     /**
-     * Overwrite the dynamic state from a checkpoint. Sets fields
-     * directly — deliberately NOT via refreshOwner(), whose
+     * Checkpoint visitor: retry/owner/counter state. Restore sets the
+     * fields directly — deliberately NOT via refreshOwner(), whose
      * mem_.unpinAll() side effect would wipe the restored pin set.
      */
-    void ckptRestore(ckpt::Reader &r);
+    void
+    visitState(ckpt::Archive &ar)
+    {
+        ar.keys(retrying_);
+        ar(owner_, squashRetries_, backoffStallCycles_, ownerChanges_,
+           maxStreak_);
+    }
 
   private:
     void refreshOwner();

@@ -114,18 +114,13 @@ class Stage
     const std::string &traceLabel() const { return traceLabel_; }
 
     /**
-     * Serialize base accounting plus kind-specific internal buffers
-     * (docs/checkpointing.md). Bound FIFOs are owned and serialized
-     * by the accelerator, not here.
+     * Checkpoint visitor: base accounting; kinds with internal buffers
+     * extend it. Bound FIFOs are owned and serialized by the
+     * accelerator, not here.
      */
-    void ckptSave(ckpt::Writer &w) const;
-    /** Overwrite the stage's dynamic state from a checkpoint. */
-    void ckptRestore(ckpt::Reader &r);
+    virtual void visitState(ckpt::Archive &ar);
 
   protected:
-    /** Kind-specific state on top of the base accounting. */
-    virtual void ckptSaveExtra(ckpt::Writer &) const {}
-    virtual void ckptRestoreExtra(ckpt::Reader &) {}
     /** Kind-specific behaviour; sets fired_/hasWork_/movedToken_. */
     virtual void doTick(uint64_t cycle) = 0;
 
@@ -223,10 +218,10 @@ class ExpandStage : public Stage
   public:
     using Stage::Stage;
 
+    void visitState(ckpt::Archive &ar) override;
+
   protected:
     void doTick(uint64_t cycle) override;
-    void ckptSaveExtra(ckpt::Writer &w) const override;
-    void ckptRestoreExtra(ckpt::Reader &r) override;
 
   private:
     bool active_ = false;
@@ -245,12 +240,11 @@ class MemStage : public Stage
     MemStage(const Actor &a, HwContext &ctx);
 
     uint64_t nextWakeCycle(uint64_t cycle) const override;
+    void visitState(ckpt::Archive &ar) override;
 
   protected:
     void doTick(uint64_t cycle) override;
     void chargeSkippedRetries(uint64_t cycles) override;
-    void ckptSaveExtra(ckpt::Writer &w) const override;
-    void ckptRestoreExtra(ckpt::Reader &r) override;
 
   private:
     struct Entry
@@ -259,6 +253,12 @@ class MemStage : public Stage
         uint64_t addr = 0;
         bool issued = false;
         uint64_t done = 0;
+
+        void
+        visitState(ckpt::Archive &ar)
+        {
+            ar(tok, addr, issued, done);
+        }
     };
 
     /** Is this entry's token the liveness owner's (privileged)? */
@@ -282,11 +282,11 @@ class AllocRuleStage : public Stage
   public:
     using Stage::Stage;
 
+    void visitState(ckpt::Archive &ar) override;
+
   protected:
     void doTick(uint64_t cycle) override;
     void chargeSkippedRetries(uint64_t cycles) override;
-    void ckptSaveExtra(ckpt::Writer &w) const override;
-    void ckptRestoreExtra(ckpt::Reader &r) override;
 
   private:
     bool allocFailed_ = false; //!< last tick found no free lane
@@ -310,11 +310,10 @@ class RendezvousStage : public Stage
     uint64_t fallbackFires() const { return fallbacks_; }
 
     uint64_t nextWakeCycle(uint64_t cycle) const override;
+    void visitState(ckpt::Archive &ar) override;
 
   protected:
     void doTick(uint64_t cycle) override;
-    void ckptSaveExtra(ckpt::Writer &w) const override;
-    void ckptRestoreExtra(ckpt::Reader &r) override;
 
   private:
     std::vector<Token> entries_;

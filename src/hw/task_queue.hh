@@ -92,13 +92,11 @@ class TaskQueueUnit
                        const std::string &component) const;
 
     /**
-     * Serialize banks, heap maps and counters
-     * (docs/checkpointing.md). The promotion heap is not saved: it is
-     * a lazy-deletion cache over parked_ and is rebuilt on restore.
+     * Checkpoint visitor: banks, heap maps and counters. The promotion
+     * heap is not saved: it is a lazy-deletion cache over parked_ and
+     * is rebuilt on restore.
      */
-    void ckptSave(ckpt::Writer &w) const;
-    /** Overwrite the queue's dynamic state from a checkpoint. */
-    void ckptRestore(ckpt::Reader &r);
+    void visitState(ckpt::Archive &ar);
 
   private:
     /** Priority-mode storage entry. */
@@ -107,6 +105,12 @@ class TaskQueueUnit
         uint64_t visibleAt = 0; //!< push + 1 + any backoff delay
         uint64_t pushedAt = 0;  //!< activation cycle
         SwTask task;
+
+        void
+        visitState(ckpt::Archive &ar)
+        {
+            ar(visibleAt, pushedAt, task);
+        }
     };
 
     /**

@@ -116,12 +116,10 @@ class Cache
                        const std::string &component) const;
 
     /**
-     * Serialize lines, in-flight MSHRs, the reserve pin slot and all
-     * counters (docs/checkpointing.md).
+     * Checkpoint visitor: lines, in-flight MSHRs, the reserve pin slot
+     * and all counters.
      */
-    void ckptSave(ckpt::Writer &w) const;
-    /** Overwrite the cache's dynamic state from a checkpoint. */
-    void ckptRestore(ckpt::Reader &r);
+    void visitState(ckpt::Archive &ar);
 
   private:
     struct Line
@@ -133,6 +131,12 @@ class Cache
         uint64_t tag = 0;
         /** Cycle the line's fill completes; data unusable before. */
         uint64_t fillDone = 0;
+
+        void
+        visitState(ckpt::Archive &ar)
+        {
+            ar(valid, dirty, pinned, tag, fillDone);
+        }
     };
 
     void reclaimMshrs(uint64_t cycle);

@@ -66,13 +66,12 @@ class MemoryImage
     uint64_t brk() const { return brk_; }
 
     /**
-     * Serialize the allocator brk and every mapped page, sorted by
-     * page number so the byte stream is independent of the unordered
-     * map's iteration order (docs/checkpointing.md).
+     * Checkpoint visitor: the allocator brk and every mapped page,
+     * sorted by page number so the byte stream is independent of the
+     * unordered map's iteration order. Every page is exactly
+     * kPageWords long (readWord indexes into it unchecked).
      */
-    void ckptSave(ckpt::Writer &w) const;
-    /** Overwrite the image's contents from a checkpoint. */
-    void ckptRestore(ckpt::Reader &r);
+    void visitState(ckpt::Archive &ar);
 
   private:
     static constexpr uint64_t kPageWords = 4096;

@@ -81,24 +81,11 @@ class QpiChannel
     /** Emit busy intervals to `tracer` (not owned; may be null). */
     void attachTracer(ChromeTracer *tracer) { tracer_ = tracer; }
 
-    /** Serialize link occupancy and counters (docs/checkpointing.md). */
+    /** Checkpoint visitor: link occupancy and counters. */
     void
-    ckptSave(ckpt::Writer &w) const
+    visitState(ckpt::Archive &ar)
     {
-        w.f64(nextFree_);
-        w.f64(busyCycles_);
-        ckpt::save(w, bytesMoved_);
-        ckpt::save(w, transfers_);
-    }
-
-    /** Overwrite the link's dynamic state from a checkpoint. */
-    void
-    ckptRestore(ckpt::Reader &r)
-    {
-        nextFree_ = r.f64();
-        busyCycles_ = r.f64();
-        ckpt::restore(r, bytesMoved_);
-        ckpt::restore(r, transfers_);
+        ar(nextFree_, busyCycles_, bytesMoved_, transfers_);
     }
 
   private:

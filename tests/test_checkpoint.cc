@@ -5,18 +5,22 @@
  * property the subsystem exists for — a run restored from a
  * mid-flight checkpoint produces stats byte-identical to a run that
  * never stopped, across every benchmark, both fast-forward modes,
- * the wake calendar on and off, and multiple workload seeds.
+ * the wake calendar on and off, and multiple workload seeds — and
+ * that the checkpoint files themselves are deterministic.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
 #include "checkpoint/ckpt.hh"
+#include "mem/image.hh"
 #include "support/logging.hh"
 
 namespace apir {
@@ -49,54 +53,93 @@ writeValidFile(const std::string &name)
 {
     std::string path = ::testing::TempDir() + name;
     ckpt::Writer w;
+    uint32_t v = 0x12345678;
     w.begin("a");
-    w.u32(0x12345678);
+    w(v);
     w.end();
     w.finish(path);
     return path;
 }
+
+/** Test-name suffix of a benchmark: its name without dashes. */
+std::string
+paramName(const ::testing::TestParamInfo<Bench> &info)
+{
+    std::string n;
+    for (const char *p = benchName(info.param); *p; ++p)
+        if (*p != '-')
+            n += *p;
+    return n;
+}
+
+/**
+ * Offset of section `name`'s payload in a checkpoint file image (the
+ * section header is `u32 nameLen | name | u64 payloadLen`).
+ */
+size_t
+sectionPayload(const std::vector<uint8_t> &bytes, const std::string &name)
+{
+    std::string hay(bytes.begin(), bytes.end());
+    size_t at = hay.find(name);
+    EXPECT_NE(at, std::string::npos) << name;
+    return at + name.size() + sizeof(uint64_t);
+}
+
+/** A padded record: visited field by field, never bit-copied. */
+struct Pod
+{
+    uint32_t a = 0;
+    double b = 0;
+
+    void
+    visitState(ckpt::Archive &ar)
+    {
+        ar(a, b);
+    }
+};
 
 // ------------------------------------------------------------------ format
 
 TEST(CkptFormat, ScalarStringPodVectorRoundTrip)
 {
     std::string path = ::testing::TempDir() + "fmt_roundtrip.ckpt";
-    struct Pod
-    {
-        uint32_t a;
-        double b;
-    };
+    uint8_t u8 = 7;
+    uint32_t u32 = 0xdeadbeef;
+    uint64_t u64 = uint64_t(1) << 40;
+    double f64 = 3.25;
+    bool yes = true, no = false;
+    std::string str = "hello checkpoint";
+    Pod pod{3, 2.5};
+    std::vector<uint64_t> vec{1, 2, 3};
     ckpt::Writer w;
-    w.begin("alpha");
-    w.u8(7);
-    w.u32(0xdeadbeef);
-    w.u64(uint64_t(1) << 40);
-    w.f64(3.25);
-    w.b(true);
-    w.b(false);
-    w.str("hello checkpoint");
-    w.end();
-    w.begin("beta");
-    w.pod(Pod{3, 2.5});
-    w.vecPod(std::vector<uint64_t>{1, 2, 3});
-    w.end();
+    w.section("alpha", u8, u32, u64, f64, yes, no, str);
+    w.section("beta", pod, vec);
     w.finish(path);
 
+    uint8_t u8r = 0;
+    uint32_t u32r = 0;
+    uint64_t u64r = 0;
+    double f64r = 0;
+    bool yesr = false, nor = true;
+    std::string strr;
+    Pod p;
+    std::vector<uint64_t> vecr;
     ckpt::Reader r(path);
     r.begin("alpha");
-    EXPECT_EQ(r.u8(), 7u);
-    EXPECT_EQ(r.u32(), 0xdeadbeefu);
-    EXPECT_EQ(r.u64(), uint64_t(1) << 40);
-    EXPECT_EQ(r.f64(), 3.25);
-    EXPECT_TRUE(r.b());
-    EXPECT_FALSE(r.b());
-    EXPECT_EQ(r.str(), "hello checkpoint");
+    r(u8r, u32r, u64r, f64r, yesr, nor, strr);
+    EXPECT_EQ(u8r, 7u);
+    EXPECT_EQ(u32r, 0xdeadbeefu);
+    EXPECT_EQ(u64r, uint64_t(1) << 40);
+    EXPECT_EQ(f64r, 3.25);
+    EXPECT_TRUE(yesr);
+    EXPECT_FALSE(nor);
+    EXPECT_EQ(strr, "hello checkpoint");
     r.end();
     r.begin("beta");
-    Pod p = r.pod<Pod>();
+    r(p, vecr);
     EXPECT_EQ(p.a, 3u);
     EXPECT_EQ(p.b, 2.5);
-    EXPECT_EQ(r.vecPod<uint64_t>(), (std::vector<uint64_t>{1, 2, 3}));
+    EXPECT_EQ(vecr, (std::vector<uint64_t>{1, 2, 3}));
     r.end();
     EXPECT_TRUE(r.atEnd());
 }
@@ -119,9 +162,7 @@ TEST(CkptFormat, StatObjectsRoundTripBitExactly)
 
     ckpt::Writer w;
     w.begin("stats");
-    ckpt::save(w, c);
-    ckpt::save(w, a);
-    ckpt::save(w, h);
+    w(c, a, h);
     w.end();
     w.finish(path);
 
@@ -130,9 +171,7 @@ TEST(CkptFormat, StatObjectsRoundTripBitExactly)
     Histogram h2(4, 1.0);
     ckpt::Reader r(path);
     r.begin("stats");
-    ckpt::restore(r, c2);
-    ckpt::restore(r, a2);
-    ckpt::restore(r, h2);
+    r(c2, a2, h2);
     r.end();
     EXPECT_TRUE(r.atEnd());
 
@@ -188,8 +227,9 @@ TEST(CkptFormat, TruncatedFileIsFatal)
     EXPECT_THROW(
         {
             ckpt::Reader r(path);
+            uint32_t v;
             r.begin("a");
-            r.u32();
+            r(v);
         },
         FatalError);
 }
@@ -226,8 +266,9 @@ TEST(CkptFormat, ReadPastSectionEndIsFatal)
     EXPECT_THROW(
         {
             ckpt::Reader r(path);
+            uint64_t v;
             r.begin("a");
-            r.u64(); // section holds only 4 bytes
+            r(v); // section holds only 4 bytes
         },
         FatalError);
 }
@@ -241,10 +282,70 @@ TEST(CkptFormat, TrailingBytesAreVisible)
     bytes.push_back(0xab);
     spit(path, bytes);
     ckpt::Reader r(path);
+    uint32_t v;
     r.begin("a");
-    (void)r.u32();
+    r(v);
     r.end();
     EXPECT_FALSE(r.atEnd());
+}
+
+TEST(CkptFormat, Version1FileIsRejected)
+{
+    // v1 bit-copied padded records; its files must hit the version
+    // skew fatal, never be misparsed as v2.
+    std::string path = writeValidFile("v1.ckpt");
+    auto bytes = slurp(path);
+    bytes[8] = 1;
+    spit(path, bytes);
+    ScopedFatalThrows guard;
+    EXPECT_THROW(ckpt::Reader r(path), FatalError);
+}
+
+TEST(CkptFormat, HugeVectorCountIsFatalNotAnAllocation)
+{
+    // 2^61 eight-byte elements wrap a byte-count check to 0; the
+    // count must be checked against the remaining payload by division.
+    for (uint64_t n : {uint64_t(1) << 61, ~uint64_t(0)}) {
+        std::string path = ::testing::TempDir() + "huge_count.ckpt";
+        ckpt::Writer w;
+        w.section("v", n);
+        w.finish(path);
+        ScopedFatalThrows guard;
+        ckpt::Reader r(path);
+        r.begin("v");
+        std::vector<uint64_t> bulk;
+        EXPECT_THROW(r(bulk), FatalError) << n;
+        ckpt::Reader r2(path);
+        r2.begin("v");
+        std::vector<Pod> records; // visited one by one
+        EXPECT_THROW(r2(records), FatalError) << n;
+    }
+}
+
+TEST(CkptFormat, ShortMemoryPageIsFatal)
+{
+    // A hand-written image section whose only page holds 10 words:
+    // readWord indexes pages unchecked, so a page of any length but
+    // the fixed page size must be refused at restore.
+    std::string path = ::testing::TempDir() + "short_page.ckpt";
+    uint64_t brk = 64, pages = 1, pageNo = 0;
+    std::vector<uint64_t> shortPage(10, 7);
+    ckpt::Writer w;
+    w.section("image", brk, pages, pageNo, shortPage);
+    w.finish(path);
+
+    ScopedFatalThrows guard;
+    MemoryImage img;
+    ckpt::Reader r(path);
+    r.begin("image");
+    try {
+        img.visitState(r);
+        ADD_FAILURE() << "short page was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("words in a memory page"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ------------------------------------------------------- end-to-end helper
@@ -312,15 +413,72 @@ TEST_P(CheckpointRoundTrip, ByteIdenticalAcrossModesAndSeeds)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBenches, CheckpointRoundTrip, ::testing::ValuesIn(kAllBenches),
-    [](const ::testing::TestParamInfo<Bench> &info) {
-        std::string n;
-        for (const char *p = benchName(info.param); *p; ++p)
-            if (*p != '-')
-                n += *p;
-        return n;
-    });
+INSTANTIATE_TEST_SUITE_P(AllBenches, CheckpointRoundTrip,
+                         ::testing::ValuesIn(kAllBenches), paramName);
+
+/** Offset of the first byte where `a` and `b` differ, as text. */
+std::string
+firstDiff(const std::vector<uint8_t> &a, const std::vector<uint8_t> &b)
+{
+    size_t n = std::min(a.size(), b.size());
+    size_t i = 0;
+    while (i < n && a[i] == b[i])
+        ++i;
+    return "first difference at byte " + std::to_string(i) + " of " +
+           std::to_string(a.size()) + " vs " + std::to_string(b.size());
+}
+
+// -------------------------------------------------- file determinism
+
+class CheckpointDeterminism : public ::testing::TestWithParam<Bench>
+{
+};
+
+/**
+ * A checkpoint file is a pure function of the machine state it
+ * captures — full state, including fields that never reach
+ * stats-json. (a) The same save made twice gives identical bytes;
+ * (b) a save at C2 from a cold run is byte-identical to a save at C2
+ * from a run restored at C1 < C2.
+ */
+TEST_P(CheckpointDeterminism, FileBytesArePureFunctionOfState)
+{
+    Bench b = GetParam();
+    Workloads w = makeWorkloads(0.05, 3);
+    for (bool ff : {true, false}) {
+        AccelConfig cfg = defaultAccelConfig();
+        cfg.fastForward = ff;
+        uint64_t cycles = runAccelerator(b, w, cfg).rr.cycles;
+        uint64_t c1 = std::max<uint64_t>(1, cycles / 3);
+        uint64_t c2 = std::max<uint64_t>(c1 + 1, cycles / 3 * 2);
+        std::string prefix = ::testing::TempDir() + "det_" +
+                             std::to_string(static_cast<int>(b)) +
+                             (ff ? "_ff" : "_noff");
+        auto save = [&](uint64_t cycle, const std::string &tag,
+                        const std::string &from) {
+            CheckpointOptions ck;
+            ck.saveCycle = cycle;
+            ck.savePrefix = prefix + tag;
+            ck.restorePrefix = from;
+            runAccelerator(b, w, cfg, false, ck);
+            return slurp(checkpointPath(ck.savePrefix, b));
+        };
+        std::vector<uint8_t> first = save(c1, "_a", "");
+        std::vector<uint8_t> again = save(c1, "_b", "");
+        EXPECT_TRUE(first == again)
+            << benchName(b) << (ff ? " ff" : " noff") << ": two saves at "
+            << c1 << " differ, " << firstDiff(first, again);
+        std::vector<uint8_t> cold = save(c2, "_cold", "");
+        std::vector<uint8_t> warm = save(c2, "_warm", prefix + "_a");
+        EXPECT_TRUE(cold == warm)
+            << benchName(b) << (ff ? " ff" : " noff") << ": save at "
+            << c2 << " after a restore at " << c1
+            << " differs from the cold one, " << firstDiff(cold, warm);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBenches, CheckpointDeterminism,
+                         ::testing::ValuesIn(kAllBenches), paramName);
 
 TEST(CheckpointRoundTripExtra, DegenerateMshr1MachineWithElasticLsu)
 {
@@ -438,6 +596,42 @@ TEST(CheckpointRestore, TrailingBytesInFileAreFatal)
     ScopedFatalThrows guard;
     EXPECT_THROW(runAccelerator(Bench::CoorBfs, w, cfg, false, rest),
                  FatalError);
+}
+
+TEST(CheckpointRestore, CraftedLaneCountIsFatal)
+{
+    // A file claiming 2^61 lanes for the first rule engine is refused
+    // by the structural-size check with a located fatal, never an
+    // attempted allocation.
+    Workloads w = makeWorkloads(0.02, 1);
+    AccelConfig cfg = defaultAccelConfig();
+    AccelRun base = runAccelerator(Bench::SpecBfs, w, cfg);
+    CheckpointOptions save;
+    save.saveCycle = std::max<uint64_t>(1, base.rr.cycles / 2);
+    save.savePrefix = ::testing::TempDir() + "crafted_lanes";
+    runAccelerator(Bench::SpecBfs, w, cfg, false, save);
+    std::string path = checkpointPath(save.savePrefix, Bench::SpecBfs);
+    auto bytes = slurp(path);
+    // Payload: u64 engine count, then the first engine's lane count.
+    size_t at = sectionPayload(bytes, "accel.engines");
+    uint64_t engines;
+    std::memcpy(&engines, &bytes[at], sizeof(engines));
+    ASSERT_GT(engines, 0u);
+    uint64_t lanes = uint64_t(1) << 61;
+    std::memcpy(&bytes[at + sizeof(uint64_t)], &lanes, sizeof(lanes));
+    spit(path, bytes);
+    CheckpointOptions rest;
+    rest.restorePrefix = save.savePrefix;
+    ScopedFatalThrows guard;
+    try {
+        runAccelerator(Bench::SpecBfs, w, cfg, false, rest);
+        ADD_FAILURE() << "crafted lane count was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("restore requires the same "
+                                             "structural config"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(CheckpointRestore, TimingOnlyKnobsMayDiffer)

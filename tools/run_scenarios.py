@@ -19,8 +19,9 @@ Usage:
                          [--out BENCH_scenarios.json] [--self-test]
 
 --self-test skips the sweep and instead verifies the failure paths
-themselves: a fabricated over-budget run and a failing bench command
-must both be flagged. It exits 0 iff the negative checks trip.
+themselves: a fabricated over-budget run, a failing bench command,
+differing stats files and a checkpoint with one flipped byte must all
+be flagged. It exits 0 iff the negative checks trip.
 """
 
 import argparse
@@ -118,12 +119,28 @@ def run_fig9(bench, outdir, tag, scale, extra, log):
     return stats
 
 
-def compare_stats(a, b, what, log):
-    """Byte-compare two stats-json files; FAIL with `what` on mismatch."""
+def compare_files(a, b, what, log):
+    """Byte-compare two files; FAIL with `what` on mismatch."""
     if filecmp.cmp(a, b, shallow=False):
         return True
     log.fail(f"{what}: {b} differs from {a}")
     return False
+
+
+def compare_checkpoints(benchmarks, cold, warm, tag, log):
+    """Byte-compare each benchmark's checkpoint under two prefixes."""
+    good = True
+    for name in benchmarks:
+        a = pathlib.Path(f"{cold}.{name}.ckpt")
+        b = pathlib.Path(f"{warm}.{name}.ckpt")
+        if not a.exists() or not b.exists():
+            log.fail(f"[{tag}] missing checkpoint {a} or {b}")
+            good = False
+            continue
+        good &= compare_files(
+            a, b, f"[{tag}] {name} checkpoint saved after a restore is "
+            "not byte-identical to the cold one", log)
+    return good
 
 
 def checkpoint_campaign(bench, outdir, confs, scale, seeds, log):
@@ -131,15 +148,19 @@ def checkpoint_campaign(bench, outdir, confs, scale, seeds, log):
 
     For every scenario x run mode (fast-forward on/off, wake calendar
     on/off) x seed: run the sweep plain (A), rerun it saving a
-    mid-run checkpoint (B), then restore that checkpoint in a fresh
-    process (C). A, B and C must produce byte-identical stats-json —
-    saving must not perturb the run it snapshots, and a restored
-    machine must be indistinguishable from one that never stopped.
+    mid-run checkpoint at C1 (B), restore that checkpoint in a fresh
+    process while saving again at C2 > C1 (C), and save at C2 from a
+    cold run (D). A, B, C and D must produce byte-identical
+    stats-json — saving must not perturb the run it snapshots, and a
+    restored machine must be indistinguishable from one that never
+    stopped. The two C2 checkpoints must be byte-identical too: that
+    compares the full machine state, including fields that never reach
+    stats-json, and pins the file-determinism contract.
 
-    The save cycle is half the shortest run in A: adaptive, because a
-    fixed cycle either lands after a small-scale run has drained
-    (which the bench makes fatal) or snapshots a near-empty machine at
-    large scale.
+    C1 is half the shortest run in A and C2 halfway from C1 to its
+    end: adaptive, because a fixed cycle either lands after a
+    small-scale run has drained (which the bench makes fatal) or
+    snapshots a near-empty machine at large scale.
     """
     for conf in confs:
         for mode, mode_extra in CHECKPOINT_MODES:
@@ -150,23 +171,37 @@ def checkpoint_campaign(bench, outdir, confs, scale, seeds, log):
                 a = run_fig9(bench, outdir, f"{tag}.a", scale, extra, log)
                 if a is None:
                     continue
-                min_cycles = min(r["cycles"]
-                                 for r in json.load(open(a))["runs"])
+                runs = json.load(open(a))["runs"]
+                min_cycles = min(r["cycles"] for r in runs)
                 save = max(1, min_cycles // 2)
+                save2 = save + max(1, (min_cycles - save) // 2)
                 prefix = outdir / f"{tag}"
+                warm = outdir / f"{tag}.warm"
+                cold = outdir / f"{tag}.cold"
                 b = run_fig9(bench, outdir, f"{tag}.b", scale,
                              extra + ["--checkpoint-save",
                                       f"{save}:{prefix}"], log)
                 c = run_fig9(bench, outdir, f"{tag}.c", scale,
-                             extra + ["--checkpoint-restore",
-                                      str(prefix)], log)
-                good = b is not None and compare_stats(
+                             extra + ["--checkpoint-restore", str(prefix),
+                                      "--checkpoint-save",
+                                      f"{save2}:{warm}"], log)
+                d = run_fig9(bench, outdir, f"{tag}.d", scale,
+                             extra + ["--checkpoint-save",
+                                      f"{save2}:{cold}"], log)
+                good = b is not None and compare_files(
                     a, b, f"[{tag}] save run not byte-identical", log)
-                good &= c is not None and compare_stats(
+                good &= c is not None and compare_files(
                     a, c, f"[{tag}] restored run not byte-identical", log)
+                good &= d is not None and compare_files(
+                    a, d, f"[{tag}] second save run not byte-identical",
+                    log)
+                good &= c is not None and d is not None and \
+                    compare_checkpoints([r["benchmark"] for r in runs],
+                                        cold, warm, tag, log)
                 if good:
                     print(f"ok   {tag}: save@{save} + restore "
-                          "byte-identical to the uninterrupted run")
+                          "byte-identical to the uninterrupted run; "
+                          f"checkpoints @{save2} cold == restored")
 
 
 def self_test(outdir):
@@ -213,12 +248,27 @@ def self_test(outdir):
     fb = outdir / "selftest-cmp-b.json"
     fa.write_text('{"runs": [1]}\n')
     fb.write_text('{"runs": [2]}\n')
-    if compare_stats(fa, fb, "selftest-cmp", log) or log.ok():
+    if compare_files(fa, fb, "selftest-cmp", log) or log.ok():
         sys.stderr.write(
             "self-test: differing stats files were NOT flagged\n")
         ok = False
     else:
         print("ok   self-test: differing stats files flagged")
+
+    log = FailureLog()
+    payload = bytearray(b"APIRCKPT" + bytes(range(256)) * 4)
+    (outdir / "selftest-cold.SPEC-BFS.ckpt").write_bytes(payload)
+    payload[len(payload) // 2] ^= 0x01
+    (outdir / "selftest-warm.SPEC-BFS.ckpt").write_bytes(payload)
+    if compare_checkpoints(["SPEC-BFS"], outdir / "selftest-cold",
+                           outdir / "selftest-warm", "selftest-ckpt",
+                           log) or log.ok():
+        sys.stderr.write(
+            "self-test: checkpoint with one flipped byte was NOT "
+            "flagged\n")
+        ok = False
+    else:
+        print("ok   self-test: checkpoint with one flipped byte flagged")
 
     if not ok:
         sys.exit(1)
