@@ -5,7 +5,7 @@
  * and reports simulated cycles per wall second — the number every
  * tick-loop optimization must move (docs/tick-performance.md). Also
  * dumps the tick-loop perf counters (ticks executed, stage visits,
- * fast-forward skips, wake-calendar work, arena allocations) so a win
+ * fast-forward skips, scheduler wakes, arena allocations) so a win
  * can be attributed, not just asserted.
  *
  * `tools/run_perf.py` wraps this bench into the standardized perf

@@ -13,14 +13,20 @@
  * on a shared future, so a thundering herd of identical requests
  * costs one simulation, not N. A computation that throws is erased
  * so the key can be retried (in-flight waiters observe the failure).
+ *
+ * A store built with a capacity keeps at most that many finished
+ * entries, evicting the least recently used; an entry still being
+ * computed is never evicted.
  */
 
 #ifndef APIR_DSE_MEMO_HH
 #define APIR_DSE_MEMO_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
+#include <list>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -33,6 +39,9 @@ template <typename Key, typename Value>
 class MemoStore
 {
   public:
+    /** `capacity` 0 keeps every entry forever. */
+    explicit MemoStore(size_t capacity = 0) : capacity_(capacity) {}
+
     /**
      * Look the key up, counting a hit or a miss. Blocks if another
      * thread is still computing the value (and rethrows its failure).
@@ -49,7 +58,7 @@ class MemoStore
                 return std::nullopt;
             }
             hits_.fetch_add(1, std::memory_order_relaxed);
-            fut = it->second;
+            fut = touchLocked(it);
         }
         return fut.get();
     }
@@ -61,7 +70,10 @@ class MemoStore
         std::promise<Value> prom;
         prom.set_value(std::move(value));
         std::lock_guard<std::mutex> lock(mutex_);
-        map_.emplace(key, prom.get_future().share());
+        if (map_.count(key) == 0) {
+            insertLocked(key, prom.get_future().share());
+            evictLocked();
+        }
     }
 
     /**
@@ -83,11 +95,11 @@ class MemoStore
             auto it = map_.find(key);
             if (it != map_.end()) {
                 hits_.fetch_add(1, std::memory_order_relaxed);
-                fut = it->second;
+                fut = touchLocked(it);
             } else {
                 misses_.fetch_add(1, std::memory_order_relaxed);
                 fut = prom.get_future().share();
-                map_.emplace(key, fut);
+                insertLocked(key, fut);
                 owner = true;
             }
         }
@@ -98,10 +110,18 @@ class MemoStore
         } catch (...) {
             {
                 std::lock_guard<std::mutex> lock(mutex_);
-                map_.erase(key);
+                auto it = map_.find(key);
+                lru_.erase(it->second.use);
+                map_.erase(it);
             }
             prom.set_exception(std::current_exception());
             throw;
+        }
+        {
+            // Now finished, this entry (or an older one whose eviction
+            // waited on a computation) may leave.
+            std::lock_guard<std::mutex> lock(mutex_);
+            evictLocked();
         }
         return fut.get();
     }
@@ -120,8 +140,48 @@ class MemoStore
     }
 
   private:
+    struct Entry
+    {
+        std::shared_future<Value> fut;
+        typename std::list<Key>::iterator use; //!< position in lru_
+    };
+    using Map = std::map<Key, Entry>;
+
+    std::shared_future<Value>
+    touchLocked(typename Map::iterator it)
+    {
+        lru_.splice(lru_.begin(), lru_, it->second.use);
+        return it->second.fut;
+    }
+
+    void
+    insertLocked(const Key &key, std::shared_future<Value> fut)
+    {
+        lru_.push_front(key);
+        map_.emplace(key, Entry{std::move(fut), lru_.begin()});
+    }
+
+    /** Drop least recently used finished entries down to capacity. */
+    void
+    evictLocked()
+    {
+        if (capacity_ == 0)
+            return;
+        for (auto it = lru_.end();
+             map_.size() > capacity_ && it != lru_.begin();) {
+            auto m = map_.find(*--it);
+            if (m->second.fut.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready)
+                continue; // still being computed
+            map_.erase(m);
+            it = lru_.erase(it);
+        }
+    }
+
+    const size_t capacity_;
     mutable std::mutex mutex_;
-    std::map<Key, std::shared_future<Value>> map_;
+    Map map_;
+    std::list<Key> lru_; //!< keys, most recently used first
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
 };

@@ -6,7 +6,6 @@
 #include "support/logging.hh"
 #include "support/str.hh"
 #include "support/trace.hh"
-#include "support/wake.hh"
 
 namespace apir {
 
@@ -46,6 +45,7 @@ Accelerator::Accelerator(const AcceleratorSpec &spec,
     registerStats();
     if (cfg_.tracer)
         mem_.attachTracer(cfg_.tracer);
+    sched_.start(stages_.size(), 0); // wake lists index into it
 }
 
 void
@@ -99,6 +99,14 @@ Accelerator::registerStats()
 void
 Accelerator::buildPipelines()
 {
+    // Wake subscriptions (docs/fast-forward.md): every stage joins the
+    // wake list of each shared unit whose changes it can observe. The
+    // lock-step oracle ticks every stage every cycle and binds none.
+    StageScheduler *sched = cfg_.fastForward ? &sched_ : nullptr;
+    auto subscribe = [sched](WakeList &w, size_t stage) {
+        w.sched = sched;
+        w.stages.push_back(static_cast<uint32_t>(stage));
+    };
     for (size_t s = 0; s < spec_.pipelines.size(); ++s) {
         const BdfgGraph &g = spec_.pipelines[s];
         // Actor ids are graph-local and small, so the per-graph lookup
@@ -118,22 +126,46 @@ Accelerator::buildPipelines()
         }
         for (uint32_t p = 0; p < cfg_.pipelinesPerSet; ++p) {
             // One stage per actor for this replica.
-            std::vector<Stage *> local(max_id + 1, nullptr);
+            std::vector<size_t> local(max_id + 1, 0);
             for (const Actor &a : g.actors()) {
                 auto stage = makeStage(a, ctx_, static_cast<TaskSetId>(s),
                                        p, spec_.orderKey, groups[a.id]);
                 stage->setTraceLabel(g.name() + "/" + std::to_string(p) +
                                      "/" + a.name);
-                local[a.id] = stage.get();
+                size_t idx = local[a.id] = stages_.size();
                 stages_.push_back(std::move(stage));
+                subscribe(liveness_->wakes(), idx);
+                switch (a.kind) {
+                  case ActorKind::Source:
+                    subscribe(queues_[s]->wakes(), idx);
+                    if (spec_.sets[s].priority)
+                        subscribe(liveness_->windowWakes(), idx);
+                    break;
+                  case ActorKind::Enqueue:
+                    subscribe(queues_[a.enqueueSet]->wakes(), idx);
+                    break;
+                  case ActorKind::AllocRule:
+                    subscribe(engines_[a.rule]->releaseWakes(), idx);
+                    break;
+                  case ActorKind::Rendezvous:
+                    // Waiting tokens may hold lanes of any engine.
+                    subscribe(groups[a.id]->wakes(), idx);
+                    for (auto &e : engines_)
+                        subscribe(e->resolveWakes(), idx);
+                    break;
+                  default:
+                    break;
+                }
             }
             // One registered FIFO per edge.
             for (const BdfgEdge &e : g.edges()) {
                 uint32_t cap = std::max(e.capacity, cfg_.fifoDepth);
                 fifos_.push_back(std::make_unique<SimFifo<Token>>(cap));
                 SimFifo<Token> *f = fifos_.back().get();
-                local[e.from.actor]->bindOutput(e.from.port, f);
-                local[e.to.actor]->bindInput(f);
+                stages_[local[e.from.actor]]->bindOutput(e.from.port, f);
+                stages_[local[e.to.actor]]->bindInput(f);
+                subscribe(f->popWakes(), local[e.from.actor]);
+                subscribe(f->pushWakes(), local[e.to.actor]);
             }
         }
     }
@@ -174,24 +206,28 @@ Accelerator::done() const
 }
 
 uint64_t
-Accelerator::nextWakeCycle(uint64_t cycle) const
+Accelerator::nextCycle(uint64_t cycle)
 {
-    // The deadlock watchdog and the cycle wall cap every skip, so a
-    // wedged machine panics at exactly the cycle the per-cycle loop
+    if (!cfg_.fastForward)
+        return cycle + 1;
+    // The deadlock watchdog and the cycle wall bound every jump, so a
+    // wedged machine panics at exactly the cycle the lock-step loop
     // would reach, with the same message.
-    uint64_t wake = std::min(lastProgressCycle_ + deadlockThreshold_ + 1,
-                             cfg_.maxCycles);
-    for (const auto &s : stages_)
-        wake = std::min(wake, s->nextWakeCycle(cycle));
-    for (const auto &q : queues_)
-        wake = std::min(wake, q->nextWakeCycle(cycle));
+    uint64_t next = std::min({sched_.next(),
+                              lastProgressCycle_ + deadlockThreshold_ + 1,
+                              cfg_.maxCycles});
     // Host-fed injection fires at multiples of hostInterval. In
     // pre-loaded mode (hostBatch == 0) a stalled host implies a full
-    // queue, which only drains via pipeline progress — no wake.
+    // queue, which only drains through a pop, and a popping source
+    // fired, so the next cycle runs anyway.
     if (hostPos_ < spec_.initial.size() && cfg_.hostBatch > 0)
-        wake = std::min(
-            wake, (cycle / cfg_.hostInterval + 1) * cfg_.hostInterval);
-    return wake;
+        next = std::min(
+            next, (cycle / cfg_.hostInterval + 1) * cfg_.hostInterval);
+    // An armed checkpoint is a landing point: the hook fires exactly
+    // at its cycle.
+    if (!saveDone_ && saveCycle_ > cycle)
+        next = std::min(next, saveCycle_);
+    return next;
 }
 
 RunResult
@@ -209,53 +245,70 @@ Accelerator::run()
     if (cfg_.tracer)
         for (auto &q : queues_)
             queue_tracks.push_back("queue." + q->decl().name);
+    auto sample_queues = [&](uint64_t c) {
+        if (!cfg_.tracer || !cfg_.tracer->active(c))
+            return;
+        for (size_t i = 0; i < queues_.size(); ++i)
+            cfg_.tracer->counterEvent(
+                queue_tracks[i], "depth", c,
+                static_cast<double>(queues_[i]->occupancy()));
+    };
 
-    calendar_.reset(stages_.size() + queues_.size());
+    // Every stage is due at the first cycle, fresh or restored (a save
+    // settles every stage and makes it due, see below).
+    for (auto &stage : stages_)
+        stage->resume(cycle);
+    sched_.start(stages_.size(), cycle);
+    const uint64_t wakes_before = sched_.wakes();
 
     TickPerf &perf = res.tickPerf;
-    for (;; ++cycle) {
+    for (;;) {
         ++perf.ticks;
         if (cycle == saveCycle_ && !saveDone_) {
             // Top-of-cycle state: nothing of cycle `cycle` has
-            // happened yet, so the restored run replays it in full.
+            // happened yet, so the restored run replays it in full,
+            // starting exactly as this run continues.
+            for (auto &stage : stages_)
+                stage->settle(cycle);
+            sched_.start(stages_.size(), cycle);
             cycle_ = cycle;
             saveDone_ = true;
             saveHook_();
         }
-        size_t host_before = hostPos_;
+        sched_.open(cycle);
         hostTick(cycle);
-        if (cfg_.tracer && cfg_.tracer->active(cycle)) {
-            for (size_t i = 0; i < queues_.size(); ++i)
-                cfg_.tracer->counterEvent(
-                    queue_tracks[i], "depth", cycle,
-                    static_cast<double>(queues_[i]->occupancy()));
-        }
-        bool any_busy = false;
-        bool any_moved = false;
-        perf.stageVisits += stages_.size();
+        sample_queues(cycle);
         uint64_t busy_this_tick = 0;
-        for (auto &stage : stages_) {
-            stage->tick(cycle);
-            if (stage->wasBusy()) {
-                ++busy_this_tick;
-                any_busy = true;
+        if (!cfg_.fastForward) {
+            // The lock-step oracle: every stage, every cycle, sharing
+            // nothing with the scheduler it is the reference for.
+            for (auto &stage : stages_) {
+                stage->tick(cycle);
+                busy_this_tick += stage->wasBusy();
             }
-            if (stage->movedToken())
-                any_moved = true;
+            perf.stageVisits += stages_.size();
+        }
+        for (uint32_t i; cfg_.fastForward && sched_.nextDue(i);) {
+            Stage &stage = *stages_[i];
+            stage.tick(cycle);
+            ++perf.stageVisits;
+            busy_this_tick += stage.wasBusy();
+            // A stage that acted is due again next cycle; one that did
+            // not sleeps until its own wake or a shared unit's.
+            if (stage.wasBusy() || stage.movedToken()) {
+                sched_.sleep(i, cycle + 1);
+            } else {
+                ++perf.wakeQueries;
+                sched_.sleep(i, stage.nextWakeCycle(cycle));
+            }
         }
         busyStageCycles_ += busy_this_tick;
-        // Interval sampling: busy stages only show up at executed
-        // ticks (skipped stretches are no-progress by construction),
-        // so accumulating here covers every busy cycle in a window.
+        // Interval sampling: busy stages are always ticked, so
+        // accumulating here covers every busy cycle in a window.
         if (busy_this_tick && inSampleWindow(cycle))
             sampledBusyCycles_ += busy_this_tick;
-        if (any_busy)
+        if (busy_this_tick)
             lastProgressCycle_ = cycle;
-        // Anything that acted this tick can have rescheduled any
-        // component's wake-up (a popped FIFO, a drained MSHR, a host
-        // push); consecutive no-progress ticks cannot.
-        if (any_busy || any_moved || hostPos_ != host_before)
-            calendar_.invalidateAll();
         if (done())
             break;
         if (cycle - lastProgressCycle_ > deadlockThreshold_) {
@@ -277,64 +330,22 @@ Accelerator::run()
         if (cycle >= cfg_.maxCycles)
             fatal("accelerator '", spec_.name, "' exceeded the cycle wall");
 
-        // Idle-cycle fast-forward: this cycle neither fired a stage
-        // nor buffered a token, so until the earliest wake-up the
-        // machine would replay the exact same no-progress tick. Jump
-        // there, charging the skipped cycles to the same stall/idle
-        // counters (and per-cycle retry stats) the replayed ticks
-        // would have produced, and replaying the tracer's queue-depth
-        // samples (occupancy cannot change over the stretch).
-        if (cfg_.fastForward && !any_busy && !any_moved) {
-            ++perf.wakeQueries;
-            uint64_t wake;
-            if (cfg_.wakeCalendar) {
-                // Watchdog, cycle wall and host injection are pure
-                // arithmetic — recomputed inline; only the
-                // per-component answers are worth caching.
-                wake = std::min(lastProgressCycle_ + deadlockThreshold_ +
-                                    1,
-                                cfg_.maxCycles);
-                wake = std::min(
-                    wake, calendar_.min(cycle, [&](size_t slot) {
-                        ++perf.wakeRecomputes;
-                        return componentWake(slot, cycle);
-                    }));
-                if (hostPos_ < spec_.initial.size() && cfg_.hostBatch > 0)
-                    wake = std::min(wake,
-                                    (cycle / cfg_.hostInterval + 1) *
-                                        cfg_.hostInterval);
-            } else {
-                perf.wakeRecomputes += stages_.size() + queues_.size();
-                wake = nextWakeCycle(cycle);
-            }
-            // An armed checkpoint bounds the skip so the save hook
-            // fires exactly at its cycle. Landing early on a
-            // no-progress stretch charges identical statistics (the
-            // fast-forward byte-identity contract), so the restored
-            // and uninterrupted runs still match bit for bit.
-            if (!saveDone_ && saveCycle_ > cycle)
-                wake = std::min(wake, saveCycle_);
-            if (wake > cycle + 1) {
-                ++perf.ffSkips;
-                uint64_t skipped = wake - 1 - cycle;
-                perf.skippedCycles += skipped;
-                for (auto &stage : stages_)
-                    stage->chargeSkipped(skipped);
-                if (cfg_.tracer) {
-                    for (uint64_t sc = cycle + 1; sc < wake; ++sc) {
-                        if (!cfg_.tracer->active(sc))
-                            continue;
-                        for (size_t i = 0; i < queues_.size(); ++i)
-                            cfg_.tracer->counterEvent(
-                                queue_tracks[i], "depth", sc,
-                                static_cast<double>(
-                                    queues_[i]->occupancy()));
-                    }
-                }
-                cycle = wake - 1;
-            }
+        // Nothing is due until `next`: jump there, replaying the
+        // tracer's queue-depth samples (occupancy cannot change while
+        // no stage ticks). Slept cycles are charged lazily.
+        uint64_t next = nextCycle(cycle);
+        if (next > cycle + 1) {
+            ++perf.ffSkips;
+            perf.skippedCycles += next - 1 - cycle;
+            if (cfg_.tracer)
+                for (uint64_t sc = cycle + 1; sc < next; ++sc)
+                    sample_queues(sc);
         }
+        cycle = next;
     }
+    for (auto &stage : stages_)
+        stage->settle(cycle + 1);
+    perf.wakeRecomputes = sched_.wakes() - wakes_before;
 
     perf.arenaAllocs = arena_.allocations();
     perf.arenaBytes = arena_.allocatedBytes();

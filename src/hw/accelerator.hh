@@ -20,8 +20,8 @@
 #include "compile/accel_spec.hh"
 #include "hw/config.hh"
 #include "hw/rendezvous_group.hh"
+#include "hw/scheduler.hh"
 #include "hw/stage.hh"
-#include "hw/wake_calendar.hh"
 #include "support/arena.hh"
 #include "support/stats_registry.hh"
 
@@ -37,12 +37,12 @@ namespace apir {
  */
 struct TickPerf
 {
-    uint64_t ticks = 0;          //!< executed (non-skipped) cycles
+    uint64_t ticks = 0;          //!< executed cycles (some stage due)
     uint64_t stageVisits = 0;    //!< Stage::tick calls
-    uint64_t ffSkips = 0;        //!< fast-forward jumps taken
+    uint64_t ffSkips = 0;        //!< jumps over cycles nothing was due in
     uint64_t skippedCycles = 0;  //!< cycles elided by those jumps
-    uint64_t wakeQueries = 0;    //!< nextWake consultations
-    uint64_t wakeRecomputes = 0; //!< per-component wake evaluations
+    uint64_t wakeQueries = 0;    //!< Stage::nextWakeCycle calls (sleeps)
+    uint64_t wakeRecomputes = 0; //!< wakes delivered by shared units
     uint64_t arenaAllocs = 0;    //!< pool-arena nodes handed out
     uint64_t arenaBytes = 0;     //!< bytes those nodes amount to
 };
@@ -100,12 +100,13 @@ class Accelerator
      * before the host tick and every stage tick of that cycle — `hook`
      * runs once. The hook (installed by the harness) owns the file:
      * it writes the config/meta header sections, calls visitState(), and
-     * appends the application's host-side state. The fast-forward jump
-     * is bounded by the save cycle so the hook always fires exactly
-     * there; by the idle-skip byte-identity contract the extra
-     * landing changes no statistics. A run that drains or dies before
-     * reaching `cycle` is a fatal — a silently skipped save would be
-     * mistaken for a complete one.
+     * appends the application's host-side state. The clock always
+     * lands on the save cycle; every stage is settled (its slept
+     * cycles charged) before the hook and made due at it, exactly as
+     * in the restored run, so both runs tick the same stages after
+     * it. A run that drains or dies before reaching `cycle` is a
+     * fatal — a silently skipped save would be mistaken for a
+     * complete one.
      */
     void scheduleCheckpointSave(uint64_t cycle,
                                 std::function<void()> hook);
@@ -114,8 +115,8 @@ class Accelerator
      * Checkpoint visitor over every machine-state section: core loop
      * state, live keys, liveness, rule engines, task queues, pipeline
      * FIFOs, rendezvous groups, stages, and the memory system. The
-     * wake calendar is a pure cache (reset at run() start) and the
-     * arena is an allocator — neither carries simulated state.
+     * stage due cycles carry no state (every stage is due at a save
+     * and at a restore) and the arena is an allocator.
      *
      * Restoring overlays the sections onto this freshly built
      * accelerator; the next run() resumes at the saved cycle. Trace
@@ -130,29 +131,16 @@ class Accelerator
     void hostTick(uint64_t cycle);
     bool done() const;
 
-    /**
-     * Earliest cycle > `cycle` at which any component can act on its
-     * own: stage wake-ups (FIFO visibility, memory completions,
-     * rendezvous fallback timers), task-queue visibility, the next
-     * host injection, the deadlock watchdog and the cycle wall. The
-     * last two make the result always finite, so a fully wedged
-     * machine fast-forwards straight to its panic cycle.
-     */
-    uint64_t nextWakeCycle(uint64_t cycle) const;
+    /** Subscribe every stage to the shared units it observes. */
+    void bindWakes();
 
     /**
-     * One component's contribution to nextWakeCycle: slots
-     * [0, numStages) are stages, the rest are task queues. The
-     * incremental wake calendar re-asks these one at a time instead
-     * of rescanning everything.
+     * The cycle after `cycle` to execute: the minimum stage due cycle,
+     * the next host injection, the armed save, the deadlock watchdog
+     * and the cycle wall. The last two make it always finite, so a
+     * fully wedged machine jumps straight to its panic cycle.
      */
-    uint64_t
-    componentWake(size_t slot, uint64_t cycle) const
-    {
-        if (slot < stages_.size())
-            return stages_[slot]->nextWakeCycle(cycle);
-        return queues_[slot - stages_.size()]->nextWakeCycle(cycle);
-    }
+    uint64_t nextCycle(uint64_t cycle);
 
     const AcceleratorSpec &spec_;
     AccelConfig cfg_;
@@ -174,7 +162,7 @@ class Accelerator
     std::vector<std::unique_ptr<RendezvousGroup>> rdvGroups_;
     std::vector<std::unique_ptr<Stage>> stages_;
     uint64_t serial_ = 0;
-    WakeCalendar calendar_; //!< cached stage/queue wakes (idle ticks)
+    StageScheduler sched_;
     HwContext ctx_;
     size_t hostPos_ = 0;
     uint64_t lastProgressCycle_ = 0;

@@ -56,24 +56,15 @@ struct AccelConfig
     /** Hard wall for simulation length; exceeded means a hang. */
     uint64_t maxCycles = 1ull << 36;
     /**
-     * Skip provably-inactive cycle stretches: when a tick fires no
-     * stage and moves no token, jump the clock to the earliest
-     * component wake-up (FIFO visibility, memory completion, host
-     * injection, rendezvous fallback, watchdog) instead of ticking
-     * through dead cycles one by one. Every statistic, histogram and
-     * trace event is bit-identical to the 1-cycle-at-a-time loop;
-     * --no-fast-forward in the benches is the escape hatch.
+     * Active-set scheduling (docs/fast-forward.md): tick a stage only
+     * in cycles where it can act — after it acted, when its own timer
+     * comes due, or when a unit it observes changes — and jump the
+     * clock over cycles where no stage is due. Every statistic,
+     * histogram and trace event is bit-identical to the lock-step
+     * loop that ticks every stage every cycle; --no-fast-forward in
+     * the benches selects that loop, the reference oracle.
      */
     bool fastForward = true;
-    /**
-     * Cache per-component wake-ups in an incremental calendar instead
-     * of re-scanning every stage and queue on each idle tick
-     * (docs/tick-performance.md). Cached wakes can only be early,
-     * never late, so results are identical either way; false forces
-     * the full-rescan reference path the fuzz harness diffs against.
-     * Config-file spelling: accel.wakeCalendar.
-     */
-    bool wakeCalendar = true;
     /** FPGA clock, for converting cycles to seconds (200 MHz). */
     double clockHz = 200e6;
 

@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "checkpoint/ckpt.hh"
+#include "hw/scheduler.hh"
 #include "support/logging.hh"
-#include "support/wake.hh"
 
 namespace apir {
 
@@ -75,6 +75,7 @@ class SimFifo
             ++tail_;
         }
         maxOccupancy_ = std::max<uint64_t>(maxOccupancy_, size());
+        pushWakes_.notify();
     }
 
     const T &
@@ -113,10 +114,18 @@ class SimFifo
             side_.pop_front();
             ++tail_;
         }
+        popWakes_.notify();
         return item;
     }
 
     uint64_t maxOccupancy() const { return maxOccupancy_; }
+
+    /**
+     * The consumer, woken by a push, and the producer, woken by a pop.
+     * The endpoint that pushes or pops acted, so it is due anyway.
+     */
+    WakeList &pushWakes() { return pushWakes_; }
+    WakeList &popWakes() { return popWakes_; }
 
     /**
      * Visit every queued item in FIFO order until `fn(item)` returns
@@ -205,6 +214,8 @@ class SimFifo
     uint64_t mask_ = 0;      //!< ring_.size() - 1
     std::deque<std::pair<uint64_t, T>> side_; //!< elastic overflow
     uint64_t maxOccupancy_ = 0;
+    WakeList pushWakes_;
+    WakeList popWakes_;
 };
 
 } // namespace apir

@@ -74,14 +74,18 @@ LivenessUnit::refreshOwner()
     std::optional<HwOrderKey> want;
     if (pinOldest_ && !retrying_.empty() && !tracker_.empty())
         want = tracker_.min();
-    if (want == owner_)
+    if (want == owner_) {
+        if (owner_)
+            windowWakes_.notify();
         return;
+    }
     // Ownership moved (the old owner committed or died, or an older
     // squash appeared): its line reservations are void.
     mem_.unpinAll();
     owner_ = want;
     if (owner_)
         ++ownerChanges_;
+    wakes_.notify();
 }
 
 uint64_t

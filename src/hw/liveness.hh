@@ -37,6 +37,7 @@
 #include <string>
 
 #include "hw/live_keys.hh"
+#include "hw/scheduler.hh"
 #include "support/stats.hh"
 
 namespace apir {
@@ -141,6 +142,19 @@ class LivenessUnit
     uint64_t retryActivations() const { return squashRetries_.value(); }
     uint64_t maxRetryStreak() const { return maxStreak_; }
 
+    /**
+     * Every stage: an owner or pin change can unblock any of them
+     * (elastic pushes, privileged issue, pinned lines), and so can a
+     * grant of the owner's reserve pin MSHR (MemStage).
+     */
+    WakeList &wakes() { return wakes_; }
+
+    /**
+     * The sources of expeditable (heap) queues: while a pin is active
+     * any live-set change can move the expedite window they pop from.
+     */
+    WakeList &windowWakes() { return windowWakes_; }
+
     /** Register this unit's statistics under `component`. */
     void registerStats(StatRegistry &reg,
                        const std::string &component) const;
@@ -177,6 +191,8 @@ class LivenessUnit
     Counter backoffStallCycles_; //!< total backoff delay imposed
     Counter ownerChanges_;       //!< pin-ownership acquisitions
     uint64_t maxStreak_ = 0;     //!< deepest retry streak seen
+    WakeList wakes_;
+    WakeList windowWakes_;
 };
 
 } // namespace apir

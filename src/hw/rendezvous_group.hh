@@ -15,6 +15,7 @@
 #include <set>
 
 #include "hw/live_keys.hh"
+#include "hw/scheduler.hh"
 
 namespace apir {
 
@@ -26,7 +27,12 @@ class RendezvousGroup
         : arenaRef_(arena),
           waiting_(arenaRef_.allocator<HwOrderKey>()) {}
 
-    void insert(const HwOrderKey &k) { waiting_.insert(k); }
+    void
+    insert(const HwOrderKey &k)
+    {
+        if (waiting_.insert(k) == waiting_.begin())
+            wakes_.notify();
+    }
 
     void
     erase(const HwOrderKey &k)
@@ -34,8 +40,17 @@ class RendezvousGroup
         auto it = waiting_.find(k);
         APIR_ASSERT(it != waiting_.end(),
                     "rendezvous group lost a waiter");
+        bool was_min = it == waiting_.begin();
         waiting_.erase(it);
+        if (was_min)
+            wakes_.notify();
     }
+
+    /**
+     * The member rendezvous stages, woken when the minimum moves: it is
+     * all isMin() reads.
+     */
+    WakeList &wakes() { return wakes_; }
 
     bool empty() const { return waiting_.empty(); }
 
@@ -52,6 +67,7 @@ class RendezvousGroup
   private:
     ArenaRef arenaRef_; //!< declared before waiting_ (allocator source)
     HwOrderKeySet waiting_;
+    WakeList wakes_;
 };
 
 } // namespace apir

@@ -17,28 +17,32 @@ uint32_t
 RuleEngine::alloc(const RuleParams &params)
 {
     // Rotating-priority allocator, like the queue's wavefront scheme.
-    for (uint32_t i = 0; i < lanes_.size(); ++i) {
-        uint32_t lane = (nextLane_ + i) % lanes_.size();
-        if (!lanes_[lane].valid) {
-            lanes_[lane].valid = true;
-            lanes_[lane].resolved = false;
-            lanes_[lane].verdict = false;
-            lanes_[lane].params = params;
-            nextLane_ = (lane + 1) % lanes_.size();
-            ++allocs_;
-            ++inUse_;
-            maxInUse_ = std::max(maxInUse_, inUse_);
-            return lane;
-        }
+    // A full lane file (the common case on a starved machine) fails
+    // without scanning.
+    const uint32_t n = numLanes();
+    if (inUse_ == n) {
+        ++allocFails_;
+        return kNoLane;
     }
-    ++allocFails_;
-    return kNoLane;
+    uint32_t lane = nextLane_;
+    while (lanes_[lane].valid)
+        lane = lane + 1 == n ? 0 : lane + 1;
+    lanes_[lane].valid = true;
+    lanes_[lane].resolved = false;
+    lanes_[lane].verdict = false;
+    lanes_[lane].params = params;
+    nextLane_ = lane + 1 == n ? 0 : lane + 1;
+    ++allocs_;
+    ++inUse_;
+    maxInUse_ = std::max(maxInUse_, inUse_);
+    return lane;
 }
 
 void
 RuleEngine::broadcast(const EventData &ev, uint32_t exclude_lane)
 {
     ++events_;
+    bool resolved_any = false;
     for (uint32_t lane = 0; lane < lanes_.size(); ++lane) {
         if (lane == exclude_lane)
             continue;
@@ -53,9 +57,12 @@ RuleEngine::broadcast(const EventData &ev, uint32_t exclude_lane)
             l.resolved = true;
             l.verdict = clause.action;
             ++clauseFires_;
+            resolved_any = true;
             break;
         }
     }
+    if (resolved_any)
+        resolveWakes_.notify();
 }
 
 bool
@@ -87,6 +94,7 @@ RuleEngine::fireOtherwise(uint32_t lane, bool fallback)
     ++otherwiseFires_;
     if (fallback)
         ++fallbackFires_;
+    resolveWakes_.notify();
 }
 
 void
@@ -97,6 +105,7 @@ RuleEngine::release(uint32_t lane)
     lanes_[lane].valid = false;
     APIR_ASSERT(inUse_ > 0, "lane accounting underflow");
     --inUse_;
+    releaseWakes_.notify();
 }
 
 void

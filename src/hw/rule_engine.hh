@@ -10,6 +10,7 @@
 #ifndef APIR_HW_RULE_ENGINE_HH
 #define APIR_HW_RULE_ENGINE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,9 +18,9 @@
 #include "bdfg/token.hh"
 #include "checkpoint/ckpt.hh"
 #include "core/rule.hh"
+#include "hw/scheduler.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
-#include "support/wake.hh"
 
 namespace apir {
 
@@ -61,21 +62,21 @@ class RuleEngine
     void release(uint32_t lane);
 
     /**
-     * Fast-forward wake contract: the engine is purely reactive — a
-     * lane's state changes only when an event is broadcast, an
-     * otherwise clause is fired at it, or the rendezvous releases it,
-     * all of which are other components' progress. It never schedules
-     * its own wake-up (the otherwise *timeout* lives in the
-     * rendezvous stages, which count it against global progress).
+     * The engine is purely reactive and never schedules a wake-up of
+     * its own (the otherwise *timeout* lives in the rendezvous stages).
+     * A resolution wakes the Rendezvous stages (one of them holds the
+     * lane's token); a release wakes this engine's AllocRule stages (a
+     * lane is free). An allocation wakes nobody: it cannot help a
+     * failed allocation, and its lane's token is not waiting anywhere.
      */
-    uint64_t nextWakeCycle(uint64_t) const { return kNeverWake; }
+    WakeList &resolveWakes() { return resolveWakes_; }
+    WakeList &releaseWakes() { return releaseWakes_; }
 
     /**
-     * Account `n` skipped-cycle allocation failures at once: an
-     * alloc-rule stage stalled on a full lane file retries every
-     * cycle, and no lane can free while the whole machine is idle, so
-     * the fast-forward loop charges the retries the 1-cycle-at-a-time
-     * loop would have made.
+     * Account `n` allocation failures at once: an alloc-rule stage
+     * stalled on a full lane file retries every cycle, and no lane can
+     * free without waking it, so the stage charges the retries of the
+     * cycles it slept through when it next ticks.
      */
     void chargeAllocFails(uint64_t n) { allocFails_ += n; }
 
@@ -104,6 +105,13 @@ class RuleEngine
         ar.fixed(lanes_, "lanes in rule engine '" + spec_.name + "'");
         ar(nextLane_, inUse_, maxInUse_, allocs_, allocFails_, events_,
            clauseFires_, otherwiseFires_, fallbackFires_);
+        // alloc() relies on both: it stops scanning at a full file.
+        size_t valid = std::count_if(lanes_.begin(), lanes_.end(),
+                                     [](const Lane &l) { return l.valid; });
+        if (nextLane_ >= lanes_.size() || inUse_ != valid)
+            fatal("checkpoint: '", ar.path(), "' has lane pointer ",
+                  nextLane_, " and ", inUse_, " lanes in use (", valid,
+                  " valid of ", lanes_.size(), ") — corrupt file");
     }
 
   private:
@@ -132,6 +140,8 @@ class RuleEngine
     Counter clauseFires_;
     Counter otherwiseFires_;
     Counter fallbackFires_;
+    WakeList resolveWakes_;
+    WakeList releaseWakes_;
 };
 
 } // namespace apir

@@ -15,16 +15,17 @@ Stage::Stage(const Actor &actor, HwContext &ctx) : actor_(actor), ctx_(ctx)
 void
 Stage::tick(uint64_t cycle)
 {
+    settle(cycle);
+    chargedTo_ = cycle + 1;
     fired_ = false;
     hasWork_ = false;
     movedToken_ = false;
     doTick(cycle);
+    stalled_ = hasWork_ || (in_ && !in_->empty());
     if (fired_)
         ++st_.busy;
-    else if (hasWork_ || (in_ && !in_->empty()))
-        ++st_.stall;
     else
-        ++st_.idle;
+        ++(stalled_ ? st_.stall : st_.idle);
     lastBusy_ = fired_;
 
     if (fired_ && ctx_.cfg->trace && cycle >= ctx_.cfg->traceFrom &&
@@ -81,6 +82,21 @@ SourceStage::doTick(uint64_t cycle)
     out_[0]->push(cycle, tok, actor_.latency);
     fired_ = true;
     ++st_.tokens;
+}
+
+uint64_t
+SourceStage::nextWakeCycle(uint64_t cycle) const
+{
+    // A full output only drains through a pop, which wakes the source.
+    // Otherwise the queue granted this source nothing: either nothing
+    // was visible (the queue's own wake), or another source took the
+    // last free bank port, and the ports free next cycle.
+    if (out_[0]->full())
+        return kNeverWake;
+    const TaskQueueUnit &q = *(*ctx_.queues)[set_];
+    if (q.grantedAt(cycle) && q.occupancy() > 0)
+        return cycle + 1;
+    return q.nextWakeCycle(cycle);
 }
 
 // ---------------------------------------------------------------- Simple
@@ -296,46 +312,43 @@ MemStage::doTick(uint64_t cycle)
         movedToken_ = true;
     }
 
-    // Issue one request (oldest unissued first).
-    Entry *head = nullptr;
-    for (Entry &e : entries_) {
-        if (!e.issued) {
-            head = &e;
-            break;
-        }
-    }
-    if (head) {
-        auto done =
-            ctx_.mem->request(cycle, head->addr, isStore_,
-                              privileged(*head));
-        if (done) {
-            head->issued = true;
-            head->done = *done;
-            fired_ = true;
-        } else {
+    auto issue = [&](Entry &e, bool priv) {
+        const Cache &cache = ctx_.mem->cache();
+        uint64_t pin_fills = cache.pinSlotFills();
+        auto done = ctx_.mem->request(cycle, e.addr, isStore_, priv);
+        if (!done) {
             ++issueRejects_;
-            // The liveness issue port: when the oldest squashed
-            // task's access sits behind a rejected head, it may still
-            // issue this cycle — without this, a non-owner at the
-            // head of the LSU would keep the reserve pin MSHR
-            // unreachable and the owner starved.
-            if (ctx_.liveness && ctx_.liveness->pinActive()) {
-                for (Entry &e : entries_) {
-                    if (e.issued || &e == head || !privileged(e))
-                        continue;
-                    auto d2 =
-                        ctx_.mem->request(cycle, e.addr, isStore_, true);
-                    if (d2) {
-                        e.issued = true;
-                        e.done = *d2;
-                        fired_ = true;
-                    } else {
-                        ++issueRejects_;
-                    }
-                    break; // one privileged attempt per cycle
-                }
-            }
+            return false;
         }
+        e.issued = true;
+        e.done = *done;
+        fired_ = true;
+        // A grant through the reserve pin MSHR installs a line while
+        // every regular MSHR stays busy: a unit whose miss on that
+        // line was rejected now rides the fill, which no MSHR timer
+        // announces. (Any other grant takes a regular MSHR, which
+        // frees only at a completion — the rejected units' timer.)
+        if (cache.pinSlotFills() != pin_fills)
+            ctx_.liveness->wakes().notify();
+        return true;
+    };
+
+    // Issue one request (oldest unissued first).
+    auto head = std::find_if(entries_.begin(), entries_.end(),
+                             [](const Entry &e) { return !e.issued; });
+    if (head != entries_.end() && !issue(*head, privileged(*head)) &&
+        ctx_.liveness && ctx_.liveness->pinActive()) {
+        // The liveness issue port: when the oldest squashed task's
+        // access sits behind a rejected head, it may still issue this
+        // cycle — without this, a non-owner at the head of the LSU
+        // would keep the reserve pin MSHR unreachable and the owner
+        // starved. One privileged attempt per cycle.
+        auto owner = std::find_if(head + 1, entries_.end(),
+                                  [this](const Entry &e) {
+                                      return !e.issued && privileged(e);
+                                  });
+        if (owner != entries_.end())
+            issue(*owner, true);
     }
 
     // Complete and emit one token: the head when in-order, else the
@@ -374,19 +387,20 @@ uint64_t
 MemStage::nextWakeCycle(uint64_t cycle) const
 {
     uint64_t wake = Stage::nextWakeCycle(cycle);
+    bool retrying = false;
     for (const Entry &e : entries_) {
-        if (e.issued) {
-            // A completion in the future emits then; one already due
-            // is blocked on the output FIFO (or in-order head), which
-            // only downstream progress clears.
-            if (e.done > cycle)
-                wake = std::min(wake, e.done);
-        } else {
-            // Unissued entries retry against the memory system every
-            // cycle; the retry provably fails until an MSHR frees.
-            wake = std::min(wake, ctx_.mem->nextWakeCycle(cycle));
-        }
+        // A completion in the future emits then; one already due is
+        // blocked on the output FIFO (or in-order head), which only a
+        // pop clears.
+        if (e.issued && e.done > cycle)
+            wake = std::min(wake, e.done);
+        retrying |= !e.issued;
     }
+    // Unissued entries retry against the memory system every cycle;
+    // the retry provably fails until an MSHR frees (the QPI link is
+    // not polled: transfers are booked at grant time).
+    if (retrying)
+        wake = std::min(wake, ctx_.mem->cache().nextMshrFreeCycle(cycle));
     return wake;
 }
 

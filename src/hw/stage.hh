@@ -67,7 +67,10 @@ class Stage
     void bindInput(SimFifo<Token> *f) { in_ = f; }
     void bindOutput(uint16_t port, SimFifo<Token> *f) { out_[port] = f; }
 
-    /** Advance one cycle; updates busy/stall/idle accounting. */
+    /**
+     * Advance one cycle; updates busy/stall/idle accounting, first
+     * charging the cycles slept through since the last tick.
+     */
     void tick(uint64_t cycle);
 
     const Actor &actor() const { return actor_; }
@@ -78,36 +81,40 @@ class Stage
      * Did the last tick move a token without firing? Out-of-order
      * units (load/store, rendezvous) and the expander accept a token
      * into internal buffers without counting as busy; such a cycle
-     * still changed machine state, so the fast-forward loop must not
-     * treat it as skippable.
+     * still changed machine state, so the stage is due again next
+     * cycle rather than put to sleep.
      */
     bool movedToken() const { return movedToken_; }
 
     /**
-     * Earliest cycle > `cycle` at which this stage could act without
-     * any other component making progress (see support/wake.hh). The
-     * base contract is input-FIFO visibility: a non-empty input whose
-     * head is still in its register delay wakes the stage when it
-     * lands. Out-of-order units add their internal completions.
+     * Earliest cycle > `cycle` at which this stage, after a tick at
+     * `cycle` that neither fired nor moved a token, could act without
+     * waking (see support/wake.hh and hw/scheduler.hh). The base
+     * contract is input-FIFO visibility: a non-empty input whose head
+     * is still in its register delay wakes the stage when it lands.
+     * Out-of-order units add their internal completions.
      */
     virtual uint64_t nextWakeCycle(uint64_t cycle) const;
 
     /**
-     * Charge `cycles` skipped idle cycles exactly as the per-cycle
-     * loop would have: stall vs idle classified from the last
-     * (no-progress) tick's outcome, which is provably constant over a
-     * skipped stretch, plus any deterministic per-cycle retry
+     * Charge every cycle before `cycle` not yet accounted, exactly as
+     * the lock-step loop would have ticked them: the stage slept, so
+     * each one repeats the last tick's stall/idle class and retry
      * counters (MSHR rejects, lane-allocation failures).
      */
     void
-    chargeSkipped(uint64_t cycles)
+    settle(uint64_t cycle)
     {
-        if (hasWork_ || (in_ && !in_->empty()))
-            st_.stall += cycles;
-        else
-            st_.idle += cycles;
-        chargeSkippedRetries(cycles);
+        uint64_t n = cycle - chargedTo_;
+        chargedTo_ = cycle;
+        if (n == 0)
+            return;
+        (stalled_ ? st_.stall : st_.idle) += n;
+        chargeSkippedRetries(n);
     }
+
+    /** Start accounting at `cycle` (a fresh or restored run). */
+    void resume(uint64_t cycle) { chargedTo_ = cycle; }
 
     /** Label used in cycle traces, e.g. "update/2/ld_level". */
     void setTraceLabel(std::string label) { traceLabel_ = std::move(label); }
@@ -124,7 +131,7 @@ class Stage
     /** Kind-specific behaviour; sets fired_/hasWork_/movedToken_. */
     virtual void doTick(uint64_t cycle) = 0;
 
-    /** Per-cycle retry counters to replay over a skipped stretch. */
+    /** Per-cycle retry counters to replay over a slept stretch. */
     virtual void chargeSkippedRetries(uint64_t) {}
 
     /** Order key of a token under the design's comparator. */
@@ -179,6 +186,8 @@ class Stage
     bool hasWork_ = false;    //!< had work but could not complete it
     bool movedToken_ = false; //!< buffered a token without firing
     bool lastBusy_ = false;
+    bool stalled_ = false;    //!< last tick's class was stall, not idle
+    uint64_t chargedTo_ = 0;  //!< cycles before this are accounted
     std::string traceLabel_;
 };
 
@@ -189,6 +198,8 @@ class SourceStage : public Stage
     SourceStage(const Actor &a, HwContext &ctx, TaskSetId set,
                 uint32_t source_id,
                 std::function<uint64_t(const SwTask &)> okey);
+
+    uint64_t nextWakeCycle(uint64_t cycle) const override;
 
   protected:
     void doTick(uint64_t cycle) override;

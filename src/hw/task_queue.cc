@@ -106,6 +106,7 @@ TaskQueueUnit::push(uint64_t cycle, TaskSetId set_check,
     ++pushes_;
     maxOccupancy_ = std::max<uint64_t>(maxOccupancy_, occupancy());
     occHist_.sample(static_cast<double>(occupancy()));
+    wakes_.notify();
 }
 
 void
@@ -146,11 +147,10 @@ TaskQueueUnit::pop(uint64_t cycle, uint32_t source_id)
         // the parked map; the expedite window is a key-order prefix
         // of the live set, so that scan inspects at most a handful of
         // parked entries instead of the whole backoff herd.
-        if (heapPopCycle_ != cycle) {
-            heapPopCycle_ = cycle;
-            heapPopsThisCycle_ = 0;
-        }
-        if (heapPopsThisCycle_ >= banks_.size())
+        // Only grants touch the port state, so it does not depend on
+        // which cycles a refused source happened to ask in.
+        uint32_t granted = heapPopCycle_ == cycle ? heapPopsThisCycle_ : 0;
+        if (granted >= banks_.size())
             return std::nullopt;
         promoteUpTo(cycle);
         HeapMap *src = nullptr;
@@ -177,8 +177,10 @@ TaskQueueUnit::pop(uint64_t cycle, uint32_t source_id)
             return std::nullopt;
         SwTask t = it->second.task;
         src->erase(it);
-        ++heapPopsThisCycle_;
+        heapPopCycle_ = cycle;
+        heapPopsThisCycle_ = granted + 1;
         ++pops_;
+        wakes_.notify();
         return t;
     }
 
@@ -194,9 +196,19 @@ TaskQueueUnit::pop(uint64_t cycle, uint32_t source_id)
             continue;
         bankLastPop_[b] = cycle;
         ++pops_;
+        wakes_.notify();
         return banks_[b].pop(cycle);
     }
     return std::nullopt;
+}
+
+bool
+TaskQueueUnit::grantedAt(uint64_t cycle) const
+{
+    if (decl_.priority)
+        return heapPopCycle_ == cycle;
+    return std::find(bankLastPop_.begin(), bankLastPop_.end(), cycle) !=
+           bankLastPop_.end();
 }
 
 uint64_t
@@ -211,7 +223,7 @@ TaskQueueUnit::nextWakeCycle(uint64_t cycle) const
         // pushedAt + 1, found by scanning the expedite-window prefix.
         // The top may belong to an entry the expedite already makes
         // poppable — then this wake is early, never late, which the
-        // fast-forward contract allows (the extra tick is a no-op).
+        // wake contract allows (the extra tick is a no-op).
         promoteUpTo(cycle);
         while (!promo_.empty() &&
                parked_.find(promo_.top().second) == parked_.end())

@@ -79,6 +79,16 @@ class TaskQueueUnit
      */
     uint64_t nextWakeCycle(uint64_t cycle) const;
 
+    /**
+     * Did some source win a pop grant at `cycle`? A source refused
+     * while tasks stay on offer lost a bank port to it, and the ports
+     * free next cycle.
+     */
+    bool grantedAt(uint64_t cycle) const;
+
+    /** Sources and enqueuers of this set: woken by every push and pop. */
+    WakeList &wakes() { return wakes_; }
+
     uint64_t pushes() const { return pushes_.value(); }
     uint64_t pops() const { return pops_.value(); }
     size_t occupancy() const;
@@ -162,8 +172,8 @@ class TaskQueueUnit
         promo_;
     uint64_t heapSeq_ = 0; //!< next HeapKey sequence number
     uint64_t heapCapacity_ = 0;
-    uint32_t heapPopsThisCycle_ = 0;
-    uint64_t heapPopCycle_ = ~0ull;
+    uint32_t heapPopsThisCycle_ = 0; //!< grants made at heapPopCycle_
+    uint64_t heapPopCycle_ = ~0ull;  //!< cycle of the last heap grant
     LiveKeyTracker &tracker_;
     LivenessUnit *liveness_ = nullptr;
     uint32_t counter_ = 0; //!< for-each activation counter
@@ -173,6 +183,7 @@ class TaskQueueUnit
     Counter retryOverflows_; //!< retry pushes admitted past capacity
     uint64_t maxOccupancy_ = 0;
     Histogram occHist_;
+    WakeList wakes_;
 };
 
 } // namespace apir

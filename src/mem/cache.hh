@@ -99,15 +99,15 @@ class Cache
      * Earliest cycle > `cycle` at which an outstanding miss completes
      * and frees its MSHR (kNeverWake when none are in flight). A
      * load/store unit rejected for MSHR back-pressure retries every
-     * cycle; until this cycle every retry provably fails again, so
-     * the fast-forward loop may skip to it.
+     * cycle; until this cycle (or another request's grant) every
+     * retry provably fails again, so the unit may sleep until then.
      */
     uint64_t nextMshrFreeCycle(uint64_t cycle) const;
 
     /**
-     * Account `n` skipped-cycle MSHR rejections at once: the
-     * fast-forward loop charges the retries the 1-cycle-at-a-time
-     * loop would have issued during a provably-rejected stretch.
+     * Account `n` MSHR rejections at once: a sleeping load/store unit
+     * charges the retries the lock-step loop would have issued during
+     * a provably-rejected stretch.
      */
     void chargeMshrRejects(uint64_t n) { mshrRejects_ += n; }
 

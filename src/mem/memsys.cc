@@ -1,7 +1,5 @@
 #include "mem/memsys.hh"
 
-#include <algorithm>
-
 #include "mem/image.hh"
 #include "support/logging.hh"
 #include "support/stats_registry.hh"
@@ -45,16 +43,6 @@ double
 MemorySystem::effectiveBandwidthGBs() const
 {
     return qpi_->config().bytesPerCycle * cfg_.clockHz / 1e9;
-}
-
-uint64_t
-MemorySystem::nextWakeCycle(uint64_t cycle) const
-{
-    uint64_t wake = cache_->nextMshrFreeCycle(cycle);
-    uint64_t link = qpi_->nextFreeCycle();
-    if (link > cycle)
-        wake = std::min(wake, link);
-    return wake;
 }
 
 void

@@ -95,14 +95,6 @@ class MemorySystem
     /** Effective QPI bandwidth in GB/s at the configured clock. */
     double effectiveBandwidthGBs() const;
 
-    /**
-     * Earliest cycle > `cycle` at which the memory system can make
-     * progress on its own: an outstanding miss completing (freeing an
-     * MSHR for a back-pressured load/store unit) or the QPI link
-     * becoming free. kNeverWake when nothing is in flight.
-     */
-    uint64_t nextWakeCycle(uint64_t cycle) const;
-
     /** Fast-forward accounting: see Cache::chargeMshrRejects. */
     void chargeMshrRejects(uint64_t n) { cache_->chargeMshrRejects(n); }
 

@@ -16,7 +16,6 @@
 #ifndef APIR_MEM_QPI_HH
 #define APIR_MEM_QPI_HH
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -58,19 +57,6 @@ class QpiChannel
     uint64_t transfers() const { return transfers_.value(); }
     /** Cycles during which the link was busy. */
     double busyCycles() const { return busyCycles_; }
-
-    /**
-     * First cycle at which the link is free to start a new service
-     * slot. Purely informational for the fast-forward wake
-     * computation: nothing polls the link, so this only bounds a skip
-     * from below (an early wake is harmless, a late one never
-     * happens because completions are captured at issue time).
-     */
-    uint64_t
-    nextFreeCycle() const
-    {
-        return static_cast<uint64_t>(std::ceil(nextFree_));
-    }
 
     const QpiConfig &config() const { return cfg_; }
 

@@ -144,6 +144,7 @@ SimService::cacheStats() const
     CacheStats cs;
     cs.workloadHits = workloads_.hits();
     cs.workloadMisses = workloads_.misses();
+    cs.workloadEntries = workloads_.size();
     cs.resultHits = results_.hits();
     cs.resultMisses = results_.misses();
     return cs;

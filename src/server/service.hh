@@ -6,7 +6,10 @@
  *
  *  - a content-addressed workload cache keyed by (seed, scale): road
  *    networks, meshes, and matrices are pure functions of their seed
- *    and scale, so a thousand sweep points share one generation;
+ *    and scale, so a thousand sweep points share one generation. It
+ *    holds the kWorkloadCacheEntries most recently used bundles: a
+ *    sweep reuses a few, while fresh-seed traffic would otherwise keep
+ *    every bundle for the daemon's lifetime;
  *  - a memoized result store keyed by the canonicalized knob tuple
  *    (app, scale, seed, verify, configCanonicalKey): the same machine
  *    simulating the same workload always produces the same stats
@@ -41,6 +44,7 @@ struct CacheStats
 {
     uint64_t workloadHits = 0;
     uint64_t workloadMisses = 0;
+    uint64_t workloadEntries = 0; //!< bundles held right now
     uint64_t resultHits = 0;
     uint64_t resultMisses = 0;
 };
@@ -85,6 +89,9 @@ class SimService
 
     CacheStats cacheStats() const;
 
+    /** Workload bundles kept (least recently used leave first). */
+    static constexpr size_t kWorkloadCacheEntries = 8;
+
   private:
     std::string compute(const SimRequest &req);
     AccelConfig configFor(const SimRequest &req) const;
@@ -92,7 +99,7 @@ class SimService
     std::string scenarioDir_;
     double maxScale_;
     MemoStore<std::string, std::shared_ptr<const bench::Workloads>>
-        workloads_;
+        workloads_{kWorkloadCacheEntries};
     MemoStore<std::string, std::string> results_;
 };
 

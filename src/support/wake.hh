@@ -1,13 +1,13 @@
 /**
  * @file
- * The wake-cycle vocabulary of the event-driven fast-forward: every
- * timed component exposes `nextWakeCycle(cycle)` — the earliest cycle
- * strictly after `cycle` at which its state can change without any
- * other component making progress — and the simulation loop jumps
- * idle stretches to the minimum over all components. A wake may be
- * early (the tick finds nothing to do and the loop skips again) but
- * must never be late; components that only react to others return
- * kNeverWake.
+ * The wake-cycle vocabulary of the active-set scheduler
+ * (hw/scheduler.hh): every timed component exposes
+ * `nextWakeCycle(cycle)` — the earliest cycle strictly after `cycle`
+ * at which its state can change without any other component making
+ * progress — and a stage that did nothing sleeps until then (or until
+ * a unit it observes wakes it). A wake may be early (the tick finds
+ * nothing to do and the stage sleeps again) but must never be late;
+ * components that only react to others return kNeverWake.
  */
 
 #ifndef APIR_SUPPORT_WAKE_HH

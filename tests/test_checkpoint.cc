@@ -4,9 +4,10 @@
  * format's round-trip and rejection paths, and the end-to-end
  * property the subsystem exists for — a run restored from a
  * mid-flight checkpoint produces stats byte-identical to a run that
- * never stopped, across every benchmark, both fast-forward modes,
- * the wake calendar on and off, and multiple workload seeds — and
- * that the checkpoint files themselves are deterministic.
+ * never stopped, across every benchmark, both fast-forward modes, a
+ * scheduled save restored into the lock-step oracle, and multiple
+ * workload seeds — and that the checkpoint files themselves are
+ * deterministic.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 
 #include "bench_common.hh"
 #include "checkpoint/ckpt.hh"
+#include "hw/rule_engine.hh"
 #include "mem/image.hh"
 #include "support/logging.hh"
 
@@ -361,11 +363,13 @@ statsOf(Bench b, const Workloads &w, const AccelConfig &cfg,
 /**
  * The round-trip property for one (bench, config) point: saving must
  * not perturb the run it snapshots, and a restored machine must be
- * indistinguishable from one that never stopped.
+ * indistinguishable from one that never stopped. `restore_cfg`, when
+ * given, is the config the restored run uses instead of `cfg`.
  */
 void
 expectRoundTrip(Bench b, const Workloads &w, const AccelConfig &cfg,
-                const std::string &prefix)
+                const std::string &prefix,
+                const AccelConfig *restore_cfg = nullptr)
 {
     AccelRun base = runAccelerator(b, w, cfg);
     std::string baseline = runToJson(base).dump();
@@ -378,7 +382,8 @@ expectRoundTrip(Bench b, const Workloads &w, const AccelConfig &cfg,
 
     CheckpointOptions rest;
     rest.restorePrefix = prefix;
-    EXPECT_EQ(statsOf(b, w, cfg, rest), baseline)
+    EXPECT_EQ(statsOf(b, w, restore_cfg ? *restore_cfg : cfg, rest),
+              baseline)
         << benchName(b) << ": restored run diverged";
 }
 
@@ -392,23 +397,21 @@ TEST_P(CheckpointRoundTrip, ByteIdenticalAcrossModesAndSeeds)
 {
     Bench b = GetParam();
     int combo = 0;
-    for (bool ff : {true, false}) {
-        for (bool cal : {true, false}) {
-            // The calendar is consulted only when fast-forwarding, so
-            // the (noff, nocal) corner duplicates (noff, cal).
-            if (!ff && !cal)
-                continue;
-            for (uint32_t seed = 1; seed <= 5; ++seed) {
-                Workloads w = makeWorkloads(0.02, seed);
-                AccelConfig cfg = defaultAccelConfig();
-                cfg.fastForward = ff;
-                cfg.wakeCalendar = cal;
-                std::string prefix =
-                    ::testing::TempDir() + "rt_" +
-                    std::to_string(static_cast<int>(b)) + "_" +
-                    std::to_string(combo++);
-                expectRoundTrip(b, w, cfg, prefix);
-            }
+    // Scheduled, lock-step, and a scheduled save restored into the
+    // lock-step oracle: the saved state must not depend on which
+    // stages happened to be asleep.
+    for (int mode = 0; mode < 3; ++mode) {
+        for (uint32_t seed = 1; seed <= 5; ++seed) {
+            Workloads w = makeWorkloads(0.02, seed);
+            AccelConfig cfg = defaultAccelConfig();
+            cfg.fastForward = mode != 1;
+            AccelConfig oracle = cfg;
+            oracle.fastForward = false;
+            std::string prefix = ::testing::TempDir() + "rt_" +
+                                 std::to_string(static_cast<int>(b)) +
+                                 "_" + std::to_string(combo++);
+            expectRoundTrip(b, w, cfg, prefix,
+                            mode == 2 ? &oracle : nullptr);
         }
     }
 }
@@ -479,6 +482,52 @@ TEST_P(CheckpointDeterminism, FileBytesArePureFunctionOfState)
 
 INSTANTIATE_TEST_SUITE_P(AllBenches, CheckpointDeterminism,
                          ::testing::ValuesIn(kAllBenches), paramName);
+
+TEST(CheckpointDeterminismExtra, SavesWhileMostStagesSleep)
+{
+    // On a starved link the scheduler keeps most stages asleep, so
+    // the save cycles land on a machine whose stages are mostly
+    // between ticks with uncharged cycles behind them. Saving settles
+    // them; the restored run must match the uninterrupted one, and the
+    // C2 file saved after a restore at C1 must equal the cold one
+    // (determinism contract (b), docs/checkpointing.md).
+    AccelConfig cfg = defaultAccelConfig();
+    cfg.mem.bandwidthScale = 0.05;
+    Workloads w = makeWorkloads(0.05, 2);
+    for (Bench b : {Bench::SpecBfs, Bench::SpecMst, Bench::CoorLu}) {
+        AccelRun base = runAccelerator(b, w, cfg);
+        uint64_t stages = 0;
+        for (const StatGroup &g : base.rr.groups)
+            if (g.name() == "accel")
+                stages = static_cast<uint64_t>(g.values().at("stages"));
+        ASSERT_GT(stages, 0u);
+        EXPECT_LE(base.rr.tickPerf.stageVisits,
+                  base.rr.cycles * stages / 4)
+            << benchName(b) << ": most stages should sleep";
+
+        uint64_t c1 = base.rr.cycles / 3;
+        uint64_t c2 = base.rr.cycles / 3 * 2;
+        std::string prefix = ::testing::TempDir() + "sleep_" +
+                             std::to_string(static_cast<int>(b));
+        CheckpointOptions s1;
+        s1.saveCycle = c1;
+        s1.savePrefix = prefix + "_c1";
+        EXPECT_EQ(statsOf(b, w, cfg, s1), runToJson(base).dump());
+        CheckpointOptions warm;
+        warm.restorePrefix = prefix + "_c1";
+        warm.saveCycle = c2;
+        warm.savePrefix = prefix + "_warm";
+        EXPECT_EQ(statsOf(b, w, cfg, warm), runToJson(base).dump())
+            << benchName(b) << ": restored run diverged";
+        CheckpointOptions cold;
+        cold.saveCycle = c2;
+        cold.savePrefix = prefix + "_cold";
+        runAccelerator(b, w, cfg, false, cold);
+        std::vector<uint8_t> a = slurp(checkpointPath(cold.savePrefix, b));
+        std::vector<uint8_t> c = slurp(checkpointPath(warm.savePrefix, b));
+        EXPECT_TRUE(a == c) << benchName(b) << ": " << firstDiff(a, c);
+    }
+}
 
 TEST(CheckpointRoundTripExtra, DegenerateMshr1MachineWithElasticLsu)
 {
@@ -629,6 +678,47 @@ TEST(CheckpointRestore, CraftedLaneCountIsFatal)
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("restore requires the same "
                                              "structural config"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(CheckpointRestore, LaneCountDisagreeingWithLanesIsFatal)
+{
+    // RuleEngine::alloc() trusts the in-use count to stop scanning a
+    // full lane file, so a file whose count disagrees with its valid
+    // lanes is refused with a located fatal instead of restored.
+    RuleSpec spec;
+    spec.name = "r";
+    RuleEngine eng(spec, 2);
+    ASSERT_NE(eng.alloc(RuleParams{}), kNoLane);
+    std::string path = ::testing::TempDir() + "lane_count.ckpt";
+    ckpt::Writer w;
+    w.section("engine", eng);
+    w.finish(path);
+    auto bytes = slurp(path);
+    // The payload ends with nextLane_, inUse_, maxInUse_ (u32 each)
+    // and six u64 counters.
+    size_t at = sectionPayload(bytes, "engine");
+    uint64_t len;
+    std::memcpy(&len, &bytes[at - sizeof(len)], sizeof(len));
+    size_t in_use = at + len - 6 * sizeof(uint64_t) - 2 * sizeof(uint32_t);
+    uint32_t count;
+    std::memcpy(&count, &bytes[in_use], sizeof(count));
+    ASSERT_EQ(count, 1u);
+    count = 0;
+    std::memcpy(&bytes[in_use], &count, sizeof(count));
+    spit(path, bytes);
+
+    ScopedFatalThrows guard;
+    RuleEngine fresh(spec, 2);
+    ckpt::Reader r(path);
+    r.begin("engine");
+    try {
+        fresh.visitState(r);
+        ADD_FAILURE() << "a lane count of 0 with one valid lane was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("corrupt file"),
                   std::string::npos)
             << e.what();
     }

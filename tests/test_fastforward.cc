@@ -1,16 +1,16 @@
 /**
  * @file
- * Equivalence tests of the event-driven idle-cycle fast-forward: with
- * cfg.fastForward on or off, every run must produce bit-identical
- * results — cycle counts, every statistic in every component group,
- * the firing trace, and the Chrome trace stream — across pipeline
- * shapes (memory-bound, host-fed, rule-gated, expanding, priority
- * queues) and a fuzz sweep of random linear pipelines. Each design is
- * additionally run fast-forwarded with the incremental wake calendar
- * disabled (accel.wakeCalendar = false), pinning the cached-wake path
- * to the full-rescan reference. Also covers the deadlockCycles
- * watchdog knob: validation, and the panic firing at the identical
- * simulated cycle in both modes.
+ * Equivalence tests of the active-set stage scheduler: with
+ * cfg.fastForward on or off (the lock-step oracle), every run must
+ * produce bit-identical results — cycle counts, every statistic in
+ * every component group, the firing trace, and the Chrome trace
+ * stream — across pipeline shapes (memory-bound, host-fed,
+ * rule-gated, expanding, priority queues), one design per wake source
+ * and a fuzz sweep of random linear pipelines. Each design is
+ * additionally run scheduled without trace hooks, pinning the path the
+ * benches take to the oracle. Also covers the deadlockCycles watchdog
+ * knob: validation, and the panic firing at the identical simulated
+ * cycle in both modes.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,9 @@
 #include <sstream>
 #include <string>
 
+#include "apps/mst.hh"
 #include "bdfg/builder.hh"
+#include "graph/generators.hh"
 #include "hw/accelerator.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
@@ -50,7 +52,7 @@ bits(double v)
  */
 std::string
 runFingerprint(const SpecFactory &make, AccelConfig cfg, bool ff,
-               std::string *traces = nullptr)
+               std::string *traces = nullptr, RunResult *result = nullptr)
 {
     setQuietLogging(true);
     MemorySystem mem(cfg.mem);
@@ -82,30 +84,40 @@ runFingerprint(const SpecFactory &make, AccelConfig cfg, bool ff,
         tracer.reset(); // flush the JSON document
         *traces = fires.str() + "\x1e" + chrome.str();
     }
+    if (result)
+        *result = rr;
     return os.str();
 }
 
+/** Value of statistic `key` in group `group` of a run's snapshot. */
+double
+statOf(const RunResult &rr, const std::string &group, const std::string &key)
+{
+    for (const StatGroup &g : rr.groups)
+        if (g.name() == group && g.values().count(key))
+            return g.values().at(key);
+    ADD_FAILURE() << "no statistic " << group << "." << key;
+    return 0.0;
+}
+
 /**
- * Assert that all three execution strategies agree byte-for-byte,
- * traces included: fast-forward with the wake calendar (the default),
- * fast-forward with the calendar disabled (full nextWakeCycle rescan
- * every idle tick), and the plain tick-every-cycle loop.
+ * Assert that the scheduled loop agrees byte-for-byte with the
+ * lock-step oracle (every stage ticked every cycle), traces included,
+ * and that the scheduled loop without trace hooks — the path every
+ * bench takes — matches the oracle's statistics too.
  */
 void
 expectEquivalent(const SpecFactory &make, const AccelConfig &cfg)
 {
-    std::string trace_on, trace_off, trace_nocal;
+    std::string trace_on, trace_off;
     std::string on = runFingerprint(make, cfg, true, &trace_on);
     std::string off = runFingerprint(make, cfg, false, &trace_off);
     EXPECT_EQ(on, off);
     EXPECT_EQ(trace_on, trace_off);
     EXPECT_FALSE(on.empty());
 
-    AccelConfig nocal = cfg;
-    nocal.wakeCalendar = false;
-    std::string rescan = runFingerprint(make, nocal, true, &trace_nocal);
-    EXPECT_EQ(on, rescan);
-    EXPECT_EQ(trace_on, trace_nocal);
+    std::string untraced = runFingerprint(make, cfg, true);
+    EXPECT_EQ(untraced, off);
 }
 
 // ------------------------------------------------- hand-built designs
@@ -309,6 +321,182 @@ TEST(FastForward, InOrderLsuIsBitIdentical)
     cfg.lsuInOrder = true;
     cfg.mem.bandwidthScale = 0.1;
     expectEquivalent(loadComputeStore(32), cfg);
+}
+
+// ------------------------------------------------ one per wake source
+
+/**
+ * A fast producer behind a slow consumer: the Alu stalls on its full
+ * output FIFO (depth 1) in front of a one-entry load unit on a starved
+ * link, and only the load unit's pop of that FIFO releases it.
+ */
+SpecFactory
+fullFifoChain(uint64_t n)
+{
+    return [n](MemorySystem &mem) {
+        uint64_t region = mem.image().alloc(4096);
+        AcceleratorSpec spec;
+        spec.name = "fffull";
+        spec.sets = {{"t", TaskSetKind::ForEach, 0, 1}};
+        PipelineBuilder b("t", 0);
+        b.alu("inc", [](Token &t) { t.words[1] = t.words[0] + 1; })
+         .load("ld",
+               [region](const Token &t) {
+                   return region + t.words[0] * 64; // a line per task
+               },
+               1)
+         .sink("done");
+        spec.pipelines.push_back(b.build());
+        for (uint64_t i = 0; i < n; ++i)
+            spec.seed(0, {i});
+        return spec;
+    };
+}
+
+TEST(WakeSources, FifoPopReleasesStalledProducer)
+{
+    AccelConfig cfg;
+    cfg.fifoDepth = 1;
+    cfg.lsuEntries = 1;
+    cfg.mem.bandwidthScale = 0.05;
+    expectEquivalent(fullFifoChain(24), cfg);
+    RunResult rr;
+    runFingerprint(fullFifoChain(24), cfg, true, nullptr, &rr);
+    EXPECT_GT(statOf(rr, "stages", "Alu.stall"), 100.0);
+}
+
+/**
+ * One rule lane for the whole machine, held across a starved load:
+ * the AllocRule stage stalls on a full lane file until the rendezvous
+ * releases the lane, which is the only thing that unblocks it.
+ */
+SpecFactory
+laneStarvedGate(uint64_t n)
+{
+    return [n](MemorySystem &mem) {
+        uint64_t region = mem.image().alloc(4096);
+        AcceleratorSpec spec;
+        spec.name = "fflane";
+        spec.sets = {{"t", TaskSetKind::ForEach, 0, 2}};
+        RuleSpec rule;
+        rule.name = "gate";
+        rule.otherwise = true;
+        spec.rules.push_back(rule);
+        PipelineBuilder b("t", 0);
+        b.allocRule("mk", 0,
+                    [](const Token &) {
+                        return std::array<Word, kMaxPayloadWords>{};
+                    })
+         .load("ld",
+               [region](const Token &t) {
+                   return region + t.words[0] * 64;
+               },
+               1)
+         .rendezvous("rdv")
+         .sink("done");
+        spec.pipelines.push_back(b.build());
+        for (uint64_t i = 0; i < n; ++i)
+            spec.seed(0, {i});
+        return spec;
+    };
+}
+
+TEST(WakeSources, LaneReleaseUnblocksAllocRule)
+{
+    AccelConfig cfg;
+    cfg.pipelinesPerSet = 2;
+    cfg.ruleLanes = 1;
+    cfg.mem.bandwidthScale = 0.05;
+    expectEquivalent(laneStarvedGate(20), cfg);
+    RunResult rr;
+    runFingerprint(laneStarvedGate(20), cfg, true, nullptr, &rr);
+    EXPECT_GT(statOf(rr, "rule.gate", "alloc_fails"), 100.0);
+}
+
+/**
+ * Two load units on one MSHR, reading the same lines in lock step: a
+ * miss rejected for the MSHR becomes a miss-under-fill once the other
+ * unit's miss on that line is in flight. Here the rejected unit's own
+ * MSHR timer already lands on the cycle the line is installed; the
+ * grant hook is what catches an install that takes no regular MSHR
+ * (the reserve pin MSHR, OwnerChangeAllowsElasticPush below).
+ */
+SpecFactory
+sharedLineLoads(uint64_t n)
+{
+    return [n](MemorySystem &mem) {
+        uint64_t region = mem.image().alloc(4096);
+        AcceleratorSpec spec;
+        spec.name = "ffshare";
+        spec.sets = {{"t", TaskSetKind::ForEach, 0, 1}};
+        PipelineBuilder b("t", 0);
+        b.load("ld",
+               [region](const Token &t) {
+                   return region + t.words[0] / 2 * 64; // pairs share
+               },
+               1)
+         .sink("done");
+        spec.pipelines.push_back(b.build());
+        for (uint64_t i = 0; i < n; ++i)
+            spec.seed(0, {i});
+        return spec;
+    };
+}
+
+TEST(WakeSources, RejectedMissBecomesMissUnderFill)
+{
+    AccelConfig cfg;
+    cfg.pipelinesPerSet = 2;
+    cfg.queueBanks = 2;
+    cfg.mem.cache.mshrs = 1;
+    cfg.mem.bandwidthScale = 0.1;
+    expectEquivalent(sharedLineLoads(40), cfg);
+    RunResult rr;
+    runFingerprint(sharedLineLoads(40), cfg, true, nullptr, &rr);
+    EXPECT_GT(statOf(rr, "mem", "mshr_rejects"), 0.0);
+    EXPECT_GT(statOf(rr, "mem", "miss_under_fills"), 0.0);
+}
+
+/**
+ * SPEC-MST on the single-MSHR, single-line machine of
+ * test_liveness.cc: squash retries engage the liveness owner, whose
+ * tokens push elastically past full FIFOs and issue through the
+ * reserve pin MSHR — moves only an owner change allows.
+ */
+SpecFactory
+degenerateMst()
+{
+    return [](MemorySystem &mem) {
+        CsrGraph g = roadNetwork(7, 9, 0.08, 0.05, 500, 3);
+        return buildSpecMst(g, mem).spec;
+    };
+}
+
+TEST(WakeSources, OwnerChangeAllowsElasticPush)
+{
+    AccelConfig cfg;
+    cfg.mem.cache.mshrs = 1;
+    cfg.mem.cache.sizeBytes = 64;
+    cfg.mem.cache.lineBytes = 64;
+    cfg.fifoDepth = 1;
+    expectEquivalent(degenerateMst(), cfg);
+    RunResult rr;
+    runFingerprint(degenerateMst(), cfg, true, nullptr, &rr);
+    EXPECT_GT(statOf(rr, "liveness", "owner_changes"), 0.0);
+    EXPECT_GT(statOf(rr, "mem", "pin_slot_fills"), 0.0);
+}
+
+TEST(WakeSources, SleepingStagesCutVisits)
+{
+    // On one MSHR the memory-bound pipeline is parked almost always:
+    // at most a third of the stage-cycles may be visited.
+    AccelConfig cfg;
+    cfg.mem.cache.mshrs = 1;
+    RunResult rr;
+    runFingerprint(loadComputeStore(64), cfg, true, nullptr, &rr);
+    uint64_t stages = static_cast<uint64_t>(statOf(rr, "accel", "stages"));
+    EXPECT_LE(rr.tickPerf.stageVisits, rr.cycles * stages / 3)
+        << rr.cycles << " cycles, " << stages << " stages";
 }
 
 // ------------------------------------------------------- fuzz designs

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -300,6 +301,43 @@ TEST(MemoStore, FailedComputationIsRetryable)
     EXPECT_EQ(memo.size(), 1u);
 }
 
+TEST(MemoStore, BoundedStoreEvictsLeastRecentlyUsed)
+{
+    MemoStore<int, int> memo(2);
+    memo.put(1, 10);
+    memo.put(2, 20);
+    EXPECT_TRUE(memo.tryGet(1).has_value()); // 1 is now the newest
+    memo.put(3, 30);                         // evicts 2, not 1
+    EXPECT_EQ(memo.size(), 2u);
+    EXPECT_TRUE(memo.tryGet(1).has_value());
+    EXPECT_FALSE(memo.tryGet(2).has_value());
+    EXPECT_EQ(memo.getOrCompute(2, [] { return 21; }), 21); // recomputed
+    EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(MemoStore, BoundedStoreNeverEvictsAComputationInFlight)
+{
+    MemoStore<int, int> memo(1);
+    std::promise<void> started, release;
+    std::thread slow([&] {
+        memo.getOrCompute(1, [&] {
+            started.set_value();
+            release.get_future().wait();
+            return 10;
+        });
+    });
+    started.get_future().wait();
+    // Key 1 is still being computed and is the least recently used
+    // entry: new entries overflow past it instead of evicting it.
+    memo.put(2, 20);
+    memo.put(3, 30);
+    release.set_value();
+    slow.join();
+    EXPECT_EQ(memo.size(), 1u);
+    EXPECT_EQ(memo.tryGet(1).value_or(0), 10);
+    EXPECT_EQ(memo.hits(), 1u);
+}
+
 // ------------------------------------------------------------ queue
 
 TEST(JobQueue, StrictPriorityThenFifo)
@@ -418,6 +456,39 @@ TEST(SimService, CachesAndReplaysIdenticalBytes)
     // bytes from a cold start.
     SimService cold(APIR_SCENARIO_DIR);
     EXPECT_EQ(cold.handle(req), first);
+}
+
+TEST(SimService, WorkloadCacheIsBoundedAndRecomputesEvictedSeeds)
+{
+    // Fresh-seed traffic must not keep every bundle alive: after
+    // kWorkloadCacheEntries + k distinct seeds the cache holds only
+    // the newest bundles, and a later request on an evicted seed
+    // regenerates it with the very bytes a cold service computes.
+    const size_t cap = SimService::kWorkloadCacheEntries;
+    SimService svc(APIR_SCENARIO_DIR);
+    SimRequest req;
+    req.app = "COOR-BFS";
+    req.scale = 0.02;
+    for (uint32_t seed = 1; seed <= cap + 3; ++seed) {
+        req.seed = seed;
+        EXPECT_EQ(svc.handle(req).rfind("{\"status\":\"ok\"", 0), 0u);
+        EXPECT_LE(svc.cacheStats().workloadEntries, cap);
+    }
+    CacheStats cs = svc.cacheStats();
+    EXPECT_EQ(cs.workloadEntries, cap);
+    EXPECT_EQ(cs.workloadMisses, cap + 3);
+
+    // Seed 1 was evicted. Another app at seed 1 misses the result
+    // store, so it needs the bundle again: one more workload miss.
+    SimRequest again = req;
+    again.app = "SPEC-BFS";
+    again.seed = 1;
+    std::string bytes = svc.handle(again);
+    cs = svc.cacheStats();
+    EXPECT_EQ(cs.workloadMisses, cap + 4);
+    EXPECT_EQ(cs.workloadEntries, cap);
+    SimService cold(APIR_SCENARIO_DIR);
+    EXPECT_EQ(bytes, cold.handle(again));
 }
 
 TEST(SimService, CheckpointRequestsBypassTheResultStore)

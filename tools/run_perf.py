@@ -4,8 +4,8 @@
 Wraps the micro_tick profiling bench into the standardized perf
 trajectory file the ROADMAP asks for: one record per paper benchmark
 with the deterministic tick-loop counters (simulated cycles, ticks
-executed, stage visits, fast-forward skips, wake-calendar recomputes,
-arena allocations) and the measured wall-clock throughput
+executed, stage visits, fast-forward skips, wakes delivered, arena
+allocations) and the measured wall-clock throughput
 (cycles_per_sec). The deterministic fields are diffable across
 commits; the throughput fields track the hot-path trend on a fixed
 machine.
@@ -27,10 +27,15 @@ record: any benchmark whose cycles_per_sec drops more than the
 tolerance below the baseline, a restore speedup more than the
 tolerance below the baseline's, or a save overhead more than the
 tolerance above it fails the run (exit nonzero, all regressions
-listed). The scales must match, otherwise the comparison is
-meaningless and the script refuses. This powers the CI perf smoke
-leg; refresh the committed baseline when the timing model or the CI
-hardware changes.
+listed). So does any benchmark whose stage_visits exceed the
+baseline's by more than VISITS_TOLERANCE: stage visits are a pure
+function of the commit, scale and seed, so that gate needs no noise
+allowance and catches a scheduler that quietly stopped letting stages
+sleep even on a host too noisy for the throughput gate. The scales
+must match, otherwise the comparison is meaningless and the script
+refuses. This powers the CI perf smoke leg; refresh the committed
+baseline when the timing model, the scheduler or the CI hardware
+changes.
 """
 
 import argparse
@@ -49,6 +54,11 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 DET_FIELDS = ("cycles", "tasks_executed")
 TICK_FIELDS = ("ticks", "stage_visits", "ff_skips", "skipped_cycles",
                "wake_queries", "wake_recomputes", "arena_allocs")
+
+# Allowed fractional growth of a benchmark's stage_visits over the
+# baseline. Visits are deterministic, so this is a design bound (a
+# wake rule may be widened a little), not a noise margin.
+VISITS_TOLERANCE = 0.10
 
 
 def run_micro_tick(bench, scale, reps):
@@ -144,6 +154,16 @@ def check_regression(fresh, baseline_path, tolerance):
                 f"{name}: {got:.3g} cycles/sec is more than "
                 f"{tolerance:.0%} below the baseline "
                 f"{base['cycles_per_sec']:.3g}")
+        ceiling = base["stage_visits"] * (1.0 + VISITS_TOLERANCE)
+        visits = point["stage_visits"]
+        verdict = "ok  " if visits <= ceiling else "FAIL"
+        print(f"{verdict} {name}: {visits} stage visits "
+              f"(baseline {base['stage_visits']}, ceiling {ceiling:.0f})")
+        if visits > ceiling:
+            failures.append(
+                f"{name}: {visits} stage visits is more than "
+                f"{VISITS_TOLERANCE:.0%} above the baseline "
+                f"{base['stage_visits']}")
     # Checkpoint ratio gates: the save overhead may not grow, the
     # restore speedup may not shrink, beyond the tolerance. Both are
     # same-machine ratios, so the 30% default covers load noise, not
@@ -181,7 +201,8 @@ def check_regression(fresh, baseline_path, tolerance):
         for f in failures:
             sys.stderr.write(f"  {f}\n")
         sys.exit(1)
-    print(f"throughput within {tolerance:.0%} of the baseline on all "
+    print(f"throughput within {tolerance:.0%} and stage visits within "
+          f"{VISITS_TOLERANCE:.0%} of the baseline on all "
           f"{len(baseline['points'])} benchmarks")
 
 

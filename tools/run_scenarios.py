@@ -67,13 +67,12 @@ LIVENESS_BUDGET_PER_TASK = {
     "COOR-LU": 10000,
 }
 
-# Checkpoint campaign run modes: the fast-forward and wake-calendar
-# axes. noff already runs with the calendar unused (every cycle is
-# ticked), so the noff+nocal corner adds nothing and is skipped.
+# Checkpoint campaign run modes: the active-set scheduler and the
+# lock-step oracle (--no-fast-forward). Their plain runs (A) must agree
+# byte for byte too.
 CHECKPOINT_MODES = (
     ("ff", []),
     ("noff", ["--no-fast-forward"]),
-    ("nocal", ["--set", "accel.wakeCalendar=false"]),
 )
 
 
@@ -146,8 +145,8 @@ def compare_checkpoints(benchmarks, cold, warm, tag, log):
 def checkpoint_campaign(bench, outdir, confs, scale, seeds, log):
     """Save/restore round-trip property campaign (docs/checkpointing.md).
 
-    For every scenario x run mode (fast-forward on/off, wake calendar
-    on/off) x seed: run the sweep plain (A), rerun it saving a
+    For every scenario x seed x run mode (scheduled, lock-step
+    oracle): run the sweep plain (A), rerun it saving a
     mid-run checkpoint at C1 (B), restore that checkpoint in a fresh
     process while saving again at C2 > C1 (C), and save at C2 from a
     cold run (D). A, B, C and D must produce byte-identical
@@ -155,7 +154,8 @@ def checkpoint_campaign(bench, outdir, confs, scale, seeds, log):
     restored machine must be indistinguishable from one that never
     stopped. The two C2 checkpoints must be byte-identical too: that
     compares the full machine state, including fields that never reach
-    stats-json, and pins the file-determinism contract.
+    stats-json, and pins the file-determinism contract. Finally the
+    scheduled A must equal the oracle's A.
 
     C1 is half the shortest run in A and C2 halfway from C1 to its
     end: adaptive, because a fixed cycle either lands after a
@@ -163,14 +163,16 @@ def checkpoint_campaign(bench, outdir, confs, scale, seeds, log):
     snapshots a near-empty machine at large scale.
     """
     for conf in confs:
-        for mode, mode_extra in CHECKPOINT_MODES:
-            for seed in seeds:
+        for seed in seeds:
+            plain = {}
+            for mode, mode_extra in CHECKPOINT_MODES:
                 tag = f"ckpt.{conf.stem}.{mode}.s{seed}"
                 extra = ["--config", str(conf), "--seed", str(seed)]
                 extra += mode_extra
                 a = run_fig9(bench, outdir, f"{tag}.a", scale, extra, log)
                 if a is None:
                     continue
+                plain[mode] = a
                 runs = json.load(open(a))["runs"]
                 min_cycles = min(r["cycles"] for r in runs)
                 save = max(1, min_cycles // 2)
@@ -202,6 +204,12 @@ def checkpoint_campaign(bench, outdir, confs, scale, seeds, log):
                     print(f"ok   {tag}: save@{save} + restore "
                           "byte-identical to the uninterrupted run; "
                           f"checkpoints @{save2} cold == restored")
+            if len(plain) == 2 and compare_files(
+                    plain["noff"], plain["ff"],
+                    f"[ckpt.{conf.stem}.s{seed}] scheduled run differs "
+                    "from the lock-step oracle", log):
+                print(f"ok   ckpt.{conf.stem}.s{seed}: scheduled == "
+                      "oracle")
 
 
 def self_test(outdir):
