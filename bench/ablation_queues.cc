@@ -23,8 +23,11 @@ main(int argc, char **argv)
 
     std::printf("=== Ablation B: task-queue banks (wavefront allocator "
                 "fan-out) ===\n\n");
+    const Bench apps[] = {appNamed("SPEC-BFS", "ablation_queues"),
+                          appNamed("SPEC-SSSP", "ablation_queues"),
+                          appNamed("SPEC-DMR", "ablation_queues")};
     std::vector<SweepJob> jobs;
-    for (Bench b : {Bench::SpecBfs, Bench::SpecSssp, Bench::SpecDmr}) {
+    for (Bench b : apps) {
         for (uint32_t nb : banks) {
             AccelConfig cfg = defaultAccelConfig(opt);
             cfg.queueBanks = nb;
@@ -35,7 +38,7 @@ main(int argc, char **argv)
 
     JsonValue runs = JsonValue::array();
     size_t next = 0;
-    for (Bench b : {Bench::SpecBfs, Bench::SpecSssp, Bench::SpecDmr}) {
+    for (Bench b : apps) {
         TextTable table({"banks", "sim(s)", "speedup vs 1 bank",
                          "utilization"});
         double base = 0.0;

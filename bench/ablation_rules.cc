@@ -26,8 +26,11 @@ main(int argc, char **argv)
 
     std::printf("=== Ablation C: rule-engine lanes (speculation depth) "
                 "===\n\n");
+    const Bench apps[] = {appNamed("SPEC-BFS", "ablation_rules"),
+                          appNamed("SPEC-MST", "ablation_rules"),
+                          appNamed("COOR-LU", "ablation_rules")};
     std::vector<SweepJob> jobs;
-    for (Bench b : {Bench::SpecBfs, Bench::SpecMst, Bench::CoorLu}) {
+    for (Bench b : apps) {
         for (uint32_t nl : lanes) {
             AccelConfig cfg = defaultAccelConfig(opt);
             cfg.ruleLanes = nl;
@@ -39,7 +42,7 @@ main(int argc, char **argv)
 
     JsonValue runs = JsonValue::array();
     size_t next = 0;
-    for (Bench b : {Bench::SpecBfs, Bench::SpecMst, Bench::CoorLu}) {
+    for (Bench b : apps) {
         TextTable table({"lanes", "sim(s)", "speedup vs 2",
                          "alloc-fails", "squashed"});
         double base = 0.0;

@@ -1,15 +1,15 @@
 /**
  * @file
- * Shared infrastructure for the paper-reproduction benches: standard
- * workloads (scaled by --scale), accelerator run helpers for all six
- * benchmarks, and wall-clock measurement utilities.
+ * The paper-reproduction benches' command line: the shared flags
+ * (--scale, --seed, --threads, --config, --checkpoint-*, ...), the
+ * base configuration they select, and the stats-json document every
+ * bench writes. Running the apps lives in run/run.hh and the app
+ * table in run/apps.hh; both are included here for the benches.
  */
 
 #ifndef APIR_BENCH_BENCH_COMMON_HH
 #define APIR_BENCH_BENCH_COMMON_HH
 
-#include <chrono>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,40 +23,13 @@
 #include "cpumodel/xeon_model.hh"
 #include "graph/generators.hh"
 #include "hw/accelerator.hh"
+#include "run/apps.hh"
+#include "run/run.hh"
 #include "support/json.hh"
 #include "support/str.hh"
 
 namespace apir {
 namespace bench {
-
-/**
- * Checkpoint save/restore directives for one accelerator run
- * (docs/checkpointing.md). Prefixes name files PREFIX.<BENCH>.ckpt so
- * a bench that runs several benchmarks per invocation writes one file
- * each. Empty prefixes disable the corresponding direction.
- */
-struct CheckpointOptions
-{
-    uint64_t saveCycle = 0;    //!< cycle at which the save hook fires
-    /**
-     * --checkpoint-save auto:PREFIX — pick the save cycle per run
-     * instead of globally: runAccelerator first runs the simulation
-     * cold to learn its drain cycle, then re-runs it saving at 3/4 of
-     * that. Costs one extra run per save, but yields a warmup point
-     * proportional to each benchmark's own length — the property the
-     * fig10 warmup-amortization sweep needs, where a single global
-     * cycle is capped by the shortest benchmark.
-     */
-    bool saveAuto = false;
-    std::string savePrefix;    //!< --checkpoint-save CYCLE:PREFIX
-    std::string restorePrefix; //!< --checkpoint-restore PREFIX
-
-    bool
-    any() const
-    {
-        return !savePrefix.empty() || !restorePrefix.empty();
-    }
-};
 
 /** Command-line options common to all benches. */
 struct Options
@@ -106,79 +79,6 @@ struct Options
  */
 Options parseOptions(int argc, char **argv);
 
-/** Wall-clock seconds of fn (best of `reps`). */
-double timeSeconds(const std::function<void()> &fn, int reps = 3);
-
-/** The standard Figure 9/10 workloads at a given scale. */
-struct Workloads
-{
-    CsrGraph road;            //!< BFS / SSSP / MST input (USA stand-in)
-    uint32_t meshPoints = 0;  //!< DMR input size
-    uint32_t luBlocks = 0;    //!< LU block rows
-    uint32_t luBlockSize = 0;
-    double luDensity = 0.0;
-    /**
-     * RNG seed the generators were (and, for the mesh / LU inputs
-     * drawn inside runAccelerator, will be) fed. Workloads are pure
-     * functions of (scale, seed) — the property the apird workload
-     * cache is built on.
-     */
-    uint32_t seed = 42;
-    /**
-     * The scale the generators were fed, recorded so checkpoint
-     * metadata can pin the exact (scale, seed) identity a restore must
-     * rebuild from.
-     */
-    double scale = 1.0;
-};
-
-Workloads makeWorkloads(double scale, uint32_t seed = 42);
-
-/** One simulated-accelerator run, generically. */
-struct AccelRun
-{
-    double seconds = 0.0; //!< simulated time at 200 MHz
-    RunResult rr;
-    /** Work executed, for the Xeon timing model (Figure 9). */
-    WorkCounts work;
-};
-
-/** Benchmark ids in paper order. */
-enum class Bench
-{
-    SpecBfs,
-    CoorBfs,
-    SpecSssp,
-    SpecMst,
-    SpecDmr,
-    CoorLu,
-};
-
-const char *benchName(Bench b);
-
-/**
- * Inverse of benchName ("SPEC-BFS" -> Bench::SpecBfs); nullopt for
- * unrecognized names. The apird wire protocol addresses benchmarks by
- * these paper names.
- */
-std::optional<Bench> benchFromName(const std::string &name);
-
-/**
- * Build and run the accelerator for one benchmark on the standard
- * workload. `hostFed` selects the incremental host-injection mode the
- * paper uses for SPEC-DMR and COOR-LU. When `ck` carries a restore
- * prefix the machine is rebuilt from (bench, scale, seed, cfg), the
- * serialized dynamic state is overlaid, and the run resumes from the
- * saved cycle; when it carries a save prefix the full machine + host
- * state is written to PREFIX.<BENCH>.ckpt at the scheduled cycle.
- */
-AccelRun runAccelerator(Bench b, const Workloads &w, AccelConfig cfg,
-                        bool verify = false,
-                        const CheckpointOptions &ck = {});
-
-/** The checkpoint file a run of benchmark `b` reads or writes. */
-std::string checkpointPath(const std::string &prefix, Bench b);
-
 /**
  * Fatal unless `opt` carries no checkpoint directives: benches that
  * never forward opt.ckpt into runAccelerator call this right after
@@ -187,45 +87,8 @@ std::string checkpointPath(const std::string &prefix, Bench b);
  */
 void requireNoCheckpoint(const Options &opt, const char *bench);
 
-/** One independent simulation in a sweep. */
-struct SweepJob
-{
-    Bench bench = Bench::SpecBfs;
-    AccelConfig cfg;
-    bool verify = false;
-    CheckpointOptions ckpt;
-};
-
-/**
- * Run every job (each an independent runAccelerator call owning its
- * own MemorySystem, Accelerator, and StatRegistry) on up to `threads`
- * workers (0 = hardware concurrency) and return results in submission
- * order. Results are bit-identical to a serial run regardless of the
- * thread count. Jobs may not carry trace hooks (cfg.trace /
- * cfg.tracer) when threads > 1: those sinks are not synchronized.
- */
-std::vector<AccelRun> runSweep(const std::vector<SweepJob> &jobs,
-                               const Workloads &w, unsigned threads);
-
-/** Default accelerator configuration used by the benches. */
-AccelConfig defaultAccelConfig();
-
 /** Default configuration with the shared bench flags applied. */
 AccelConfig defaultAccelConfig(const Options &opt);
-
-/** All six benchmarks in paper order. */
-inline constexpr Bench kAllBenches[] = {
-    Bench::SpecBfs, Bench::CoorBfs,  Bench::SpecSssp,
-    Bench::SpecMst, Bench::SpecDmr,  Bench::CoorLu,
-};
-
-/**
- * JSON for one accelerator run: summary scalars plus every
- * per-component statistic group (cache/QPI, queues, rule engines,
- * stage-kind breakdown) under "stats". Benches append identifying
- * labels (benchmark name, knob values) to the returned object.
- */
-JsonValue runToJson(const AccelRun &run);
 
 /**
  * Write the standard stats document

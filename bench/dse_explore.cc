@@ -29,28 +29,6 @@ runnerFor(Bench b, const Workloads &w)
     };
 }
 
-/** The spec is only needed for resource pruning; build it once. */
-AcceleratorSpec
-specFor(Bench b, const Workloads &w, MemorySystem &mem)
-{
-    switch (b) {
-      case Bench::SpecBfs:  return buildSpecBfs(w.road, 0, mem).spec;
-      case Bench::CoorBfs:  return buildCoorBfs(w.road, 0, mem).spec;
-      case Bench::SpecSssp: return buildSpecSssp(w.road, 0, mem).spec;
-      case Bench::SpecMst:  return buildSpecMst(w.road, mem).spec;
-      case Bench::SpecDmr: {
-        RefineParams params;
-        Mesh mesh = randomDelaunayMesh(64, 1);
-        return buildSpecDmr(std::move(mesh), params, mem).spec;
-      }
-      case Bench::CoorLu: {
-        BlockSparseMatrix a = randomBlockSparse(4, 8, 0.4, 1);
-        return buildCoorLu(std::move(a), mem).spec;
-      }
-    }
-    fatal("unknown benchmark");
-}
-
 } // namespace
 
 int
@@ -83,8 +61,10 @@ main(int argc, char **argv)
 
     size_t next = 0;
     for (Bench b : kAllBenches) {
+        // The spec is only needed for resource pruning, which reads
+        // its structure alone; build it once.
         MemorySystem scratch;
-        AcceleratorSpec spec = specFor(b, w, scratch);
+        AcceleratorSpec spec = b->build(w, scratch).spec;
         AccelConfig base = defaultAccelConfig(opt);
         const AccelRun &dflt = defaults[next++];
 

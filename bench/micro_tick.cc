@@ -1,12 +1,13 @@
 /**
  * @file
  * Profiling harness for the simulator's per-cycle hot path: runs each
- * paper benchmark's accelerator end to end, measures host wall-clock,
- * and reports simulated cycles per wall second — the number every
- * tick-loop optimization must move (docs/tick-performance.md). Also
- * dumps the tick-loop perf counters (ticks executed, stage visits,
- * fast-forward skips, scheduler wakes, arena allocations) so a win
- * can be attributed, not just asserted.
+ * paper benchmark's accelerator (or, with --bench NAME, any registered
+ * app) end to end, measures host wall-clock, and reports simulated
+ * cycles per wall second — the number every tick-loop optimization
+ * must move (docs/tick-performance.md). Also dumps the tick-loop perf
+ * counters (ticks executed, stage visits, fast-forward skips,
+ * scheduler wakes, arena allocations) so a win can be attributed, not
+ * just asserted.
  *
  * `tools/run_perf.py` wraps this bench into the standardized perf
  * trajectory record BENCH_tick.json and the CI smoke leg that fails
@@ -31,15 +32,6 @@ namespace {
 const char *kTickUsage =
     "usage: micro_tick [--bench NAME] [--reps N] [shared bench flags]";
 
-std::optional<Bench>
-benchByName(const std::string &name)
-{
-    for (Bench b : kAllBenches)
-        if (name == benchName(b))
-            return b;
-    return std::nullopt;
-}
-
 } // namespace
 
 int
@@ -62,11 +54,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--bench" || a.rfind("--bench=", 0) == 0) {
-            std::string name = value("--bench");
-            auto b = benchByName(name);
-            if (!b)
-                fatal("unknown benchmark '", name, "'; ", kTickUsage);
-            selected.push_back(*b);
+            selected.push_back(appNamed(value("--bench"), "--bench"));
         } else if (a == "--reps" || a.rfind("--reps=", 0) == 0) {
             std::string v = value("--reps");
             auto n = parseStrictU64(v);

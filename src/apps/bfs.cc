@@ -79,34 +79,6 @@ bfsParallelThreads(const CsrGraph &g, VertexId root, uint32_t threads)
     return out;
 }
 
-EmulatedRun
-bfsParallelEmulated(const CsrGraph &g, VertexId root,
-                    const MulticoreConfig &cfg)
-{
-    MulticoreEmulator emu(cfg);
-    std::vector<uint32_t> level(g.numVertices(), kInfDistance);
-    level[root] = 0;
-    std::vector<VertexId> frontier{root};
-    uint32_t depth = 0;
-    while (!frontier.empty()) {
-        ++depth;
-        emu.beginRound();
-        std::vector<VertexId> next;
-        for (VertexId v : frontier) {
-            for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
-                VertexId u = g.edgeDst(e);
-                if (level[u] == kInfDistance) {
-                    level[u] = depth;
-                    next.push_back(u);
-                }
-            }
-        }
-        emu.endRound(frontier.size());
-        frontier = std::move(next);
-    }
-    return {std::move(level), emu.emulatedSeconds()};
-}
-
 std::vector<uint32_t>
 readLevels(const GraphImage &img, const MemorySystem &mem)
 {

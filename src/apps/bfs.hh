@@ -7,8 +7,6 @@
  *  - bfsParallelThreads():  level-synchronous std::thread version
  *                           (Leiserson-style, Fig. 9's 10-core
  *                           counterpart);
- *  - bfsParallelEmulated(): the same algorithm with per-round
- *                           multicore timing emulation (see cpumodel);
  *  - buildSpecBfs():        SPEC-BFS accelerator (Section 4.2's
  *                           speculative rule, squash on conflicting
  *                           earlier writes);
@@ -31,7 +29,6 @@
 
 #include "compile/accel_spec.hh"
 #include "core/app_spec.hh"
-#include "cpumodel/multicore.hh"
 #include "apps/graph_mem.hh"
 #include "graph/csr.hh"
 
@@ -43,17 +40,6 @@ std::vector<uint32_t> bfsSequential(const CsrGraph &g, VertexId root);
 /** Level-synchronous parallel BFS with real threads. */
 std::vector<uint32_t> bfsParallelThreads(const CsrGraph &g, VertexId root,
                                          uint32_t threads);
-
-/** Result of an emulated-multicore run. */
-struct EmulatedRun
-{
-    std::vector<uint32_t> values;
-    double seconds = 0.0;
-};
-
-/** Level-synchronous parallel BFS under multicore timing emulation. */
-EmulatedRun bfsParallelEmulated(const CsrGraph &g, VertexId root,
-                                const MulticoreConfig &cfg);
 
 /** A built accelerator application: spec + the image it references. */
 struct BfsAccel

@@ -97,35 +97,6 @@ ccParallelThreads(const CsrGraph &g, uint32_t threads)
     return out;
 }
 
-EmulatedRun
-ccParallelEmulated(const CsrGraph &g, const MulticoreConfig &cfg)
-{
-    MulticoreEmulator emu(cfg);
-    std::vector<uint32_t> label(g.numVertices());
-    std::vector<VertexId> frontier(g.numVertices());
-    for (VertexId v = 0; v < g.numVertices(); ++v) {
-        label[v] = v;
-        frontier[v] = v;
-    }
-    while (!frontier.empty()) {
-        emu.beginRound();
-        std::vector<VertexId> next;
-        for (VertexId v : frontier) {
-            uint32_t lv = label[v];
-            for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
-                VertexId u = g.edgeDst(e);
-                if (lv < label[u]) {
-                    label[u] = lv;
-                    next.push_back(u);
-                }
-            }
-        }
-        emu.endRound(frontier.size());
-        frontier = std::move(next);
-    }
-    return {std::move(label), emu.emulatedSeconds()};
-}
-
 std::vector<uint32_t>
 readLabels(const GraphImage &img, const MemorySystem &mem)
 {

@@ -95,44 +95,6 @@ dmrParallelThreads(Mesh &mesh, const RefineParams &params, uint32_t threads)
     return summarizeMesh(mesh, params, applied);
 }
 
-DmrEmulatedRun
-dmrParallelEmulated(Mesh &mesh, const RefineParams &params,
-                    const MulticoreConfig &cfg)
-{
-    MulticoreEmulator emu(cfg);
-    uint64_t applied = 0;
-    std::deque<TriId> work;
-    for (TriId t : findBadTriangles(mesh, params.minAngleRad,
-                                    params.minArea))
-        work.push_back(t);
-
-    while (!work.empty()) {
-        size_t n = std::min<size_t>(work.size(),
-                                    4ull * cfg.cores);
-        std::vector<TriId> batch(work.begin(),
-                                 work.begin() + static_cast<long>(n));
-        work.erase(work.begin(), work.begin() + static_cast<long>(n));
-
-        emu.beginRound();
-        std::vector<std::vector<TriId>> cavities(n);
-        for (size_t i = 0; i < n; ++i)
-            cavities[i] = refinementCavity(mesh, batch[i], params);
-        emu.endRound(n);
-
-        emu.beginRound();
-        for (size_t i = 0; i < n; ++i) {
-            auto res = refineTriangle(mesh, batch[i], params);
-            if (res.applied) {
-                ++applied;
-                for (TriId nb : res.newBad)
-                    work.push_back(nb);
-            }
-        }
-        emu.endRound(1); // serial commit sweep
-    }
-    return {summarizeMesh(mesh, params, applied), emu.emulatedSeconds()};
-}
-
 void
 DmrState::visitState(ckpt::Archive &ar)
 {

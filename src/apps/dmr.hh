@@ -20,7 +20,6 @@
 #include "checkpoint/ckpt.hh"
 #include "compile/accel_spec.hh"
 #include "core/app_spec.hh"
-#include "cpumodel/multicore.hh"
 #include "geometry/refine.hh"
 #include "mem/memsys.hh"
 
@@ -40,15 +39,6 @@ DmrResult dmrSequential(Mesh &mesh, const RefineParams &params);
 /** Round-based speculative refinement with real threads. */
 DmrResult dmrParallelThreads(Mesh &mesh, const RefineParams &params,
                              uint32_t threads);
-
-/** The same algorithm under multicore timing emulation. */
-struct DmrEmulatedRun
-{
-    DmrResult result;
-    double seconds = 0.0;
-};
-DmrEmulatedRun dmrParallelEmulated(Mesh &mesh, const RefineParams &params,
-                                   const MulticoreConfig &cfg);
 
 /** Functional state shared with the accelerator pipelines. */
 struct DmrState

@@ -167,53 +167,6 @@ luParallelThreads(BlockSparseMatrix &a, uint32_t threads)
     return ops;
 }
 
-LuEmulatedRun
-luParallelEmulated(BlockSparseMatrix &a, const MulticoreConfig &cfg)
-{
-    MulticoreEmulator emu(cfg);
-    LuOpCounts ops;
-    const uint32_t n = a.numBlockRows();
-    for (uint32_t k = 0; k < n; ++k) {
-        emu.beginRound();
-        luFactor(a.block(k, k));
-        ++ops.factor;
-        emu.endRound(1);
-
-        emu.beginRound();
-        uint64_t trsms = 0;
-        for (uint32_t j = k + 1; j < n; ++j) {
-            if (a.present(k, j)) {
-                trsmLowerLeft(a.block(k, k), a.block(k, j));
-                ++trsms;
-            }
-        }
-        for (uint32_t i = k + 1; i < n; ++i) {
-            if (a.present(i, k)) {
-                trsmUpperRight(a.block(k, k), a.block(i, k));
-                ++trsms;
-            }
-        }
-        emu.endRound(trsms);
-        ops.trsm += trsms;
-
-        emu.beginRound();
-        uint64_t gemms = 0;
-        for (uint32_t i = k + 1; i < n; ++i) {
-            if (!a.present(i, k))
-                continue;
-            for (uint32_t j = k + 1; j < n; ++j) {
-                if (!a.present(k, j))
-                    continue;
-                gemmMinus(a.block(i, k), a.block(k, j), a.block(i, j));
-                ++gemms;
-            }
-        }
-        emu.endRound(gemms);
-        ops.gemm += gemms;
-    }
-    return {ops, emu.emulatedSeconds()};
-}
-
 void
 LuState::visitState(ckpt::Archive &ar)
 {

@@ -19,7 +19,6 @@
 #include "checkpoint/ckpt.hh"
 #include "compile/accel_spec.hh"
 #include "core/app_spec.hh"
-#include "cpumodel/multicore.hh"
 #include "mem/memsys.hh"
 #include "sparse/block_sparse.hh"
 
@@ -35,15 +34,6 @@ enum LuOpType : Word {
 
 /** Parallel wave LU with real threads; factors `a` in place. */
 LuOpCounts luParallelThreads(BlockSparseMatrix &a, uint32_t threads);
-
-/** The same wave algorithm under multicore timing emulation. */
-struct LuEmulatedRun
-{
-    LuOpCounts ops;
-    double seconds = 0.0;
-};
-LuEmulatedRun luParallelEmulated(BlockSparseMatrix &a,
-                                 const MulticoreConfig &cfg);
 
 /** Functional state shared with the accelerator pipelines. */
 struct LuState

@@ -124,46 +124,6 @@ mstParallelThreads(const CsrGraph &g, uint32_t threads, uint32_t batch)
     return res;
 }
 
-MstEmulatedRun
-mstParallelEmulated(const CsrGraph &g, const MulticoreConfig &cfg,
-                    uint32_t batch)
-{
-    MulticoreEmulator emu(cfg);
-    auto edges = sortedEdges(g);
-    std::vector<uint32_t> parent(g.numVertices());
-    for (uint32_t v = 0; v < g.numVertices(); ++v)
-        parent[v] = v;
-    MstResult res;
-
-    for (size_t base = 0; base < edges.size(); base += batch) {
-        size_t n = std::min<size_t>(batch, edges.size() - base);
-        emu.beginRound();
-        std::vector<std::pair<uint32_t, uint32_t>> roots(n);
-        for (size_t i = 0; i < n; ++i) {
-            const SortedEdge &e = edges[base + i];
-            roots[i] = {findRootConst(parent, e.a),
-                        findRootConst(parent, e.b)};
-        }
-        emu.endRound(n);
-        emu.beginRound();
-        for (size_t i = 0; i < n; ++i) {
-            const SortedEdge &e = edges[base + i];
-            uint32_t ra = roots[i].first, rb = roots[i].second;
-            if (parent[ra] != ra || parent[rb] != rb) {
-                ra = findRoot(parent, e.a);
-                rb = findRoot(parent, e.b);
-            }
-            if (ra != rb) {
-                parent[ra] = rb;
-                res.totalWeight += e.w;
-                ++res.edgesInTree;
-            }
-        }
-        emu.endRound(1); // the commit sweep is serial
-    }
-    return {res, emu.emulatedSeconds()};
-}
-
 MstAccel
 buildSpecMst(const CsrGraph &g, MemorySystem &mem)
 {

@@ -87,34 +87,6 @@ ssspParallelThreads(const CsrGraph &g, VertexId root, uint32_t threads)
     return out;
 }
 
-EmulatedRun
-ssspParallelEmulated(const CsrGraph &g, VertexId root,
-                     const MulticoreConfig &cfg)
-{
-    MulticoreEmulator emu(cfg);
-    std::vector<uint32_t> dist(g.numVertices(), kInfDistance);
-    dist[root] = 0;
-    std::vector<VertexId> frontier{root};
-    while (!frontier.empty()) {
-        emu.beginRound();
-        std::vector<VertexId> next;
-        for (VertexId v : frontier) {
-            uint32_t dv = dist[v];
-            for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
-                VertexId u = g.edgeDst(e);
-                uint32_t nd = dv + g.edgeWeight(e);
-                if (nd < dist[u]) {
-                    dist[u] = nd;
-                    next.push_back(u);
-                }
-            }
-        }
-        emu.endRound(frontier.size());
-        frontier = std::move(next);
-    }
-    return {std::move(dist), emu.emulatedSeconds()};
-}
-
 SsspWorkProfile
 ssspWorkProfile(const CsrGraph &g, VertexId root)
 {

@@ -2,7 +2,8 @@
  * @file
  * apird — the persistent simulation daemon (docs/apird.md).
  *
- * Serves the repo's six benchmarks over newline-delimited JSON on a
+ * Serves the registered apps (run/apps.hh; `apird --list-apps` prints
+ * their names, one per line) over newline-delimited JSON on a
  * TCP socket, with a content-addressed workload cache and a memoized
  * result store in front of the simulator. On startup it prints one
  * {"event":"listening","port":N} line to stdout (and the port to
@@ -28,6 +29,7 @@
 #include <iostream>
 #include <string>
 
+#include "run/apps.hh"
 #include "server/server.hh"
 #include "support/logging.hh"
 #include "support/str.hh"
@@ -41,7 +43,8 @@ constexpr const char *kUsage =
     "usage: apird [--port N] [--port-file PATH] [--threads N]\n"
     "             [--queue-depth N] [--retry-after-ms N]\n"
     "             [--scenario-dir DIR] [--max-scale X]\n"
-    "       apird --once --request '<json>' [--scenario-dir DIR]";
+    "       apird --once --request '<json>' [--scenario-dir DIR]\n"
+    "       apird --list-apps";
 
 ApirdServer *gServer = nullptr;
 
@@ -125,6 +128,10 @@ main(int argc, char **argv)
             once = true;
         } else if (flag == "--request") {
             onceRequest = need();
+        } else if (flag == "--list-apps") {
+            for (bench::Bench b : bench::allApps())
+                std::cout << bench::benchName(b) << "\n";
+            return 0;
         } else if (flag == "--help" || flag == "-h") {
             std::cout << kUsage << "\n";
             return 0;

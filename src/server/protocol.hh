@@ -13,7 +13,10 @@
  *   {"op": "stats"}                     server self-metrics snapshot
  *   {"op": "shutdown"}                  begin a graceful drain
  *   {"app": "SPEC-BFS", ...}            simulation ("op" defaults to
- *                                       "sim"; see SimRequest)
+ *                                       "sim"; see SimRequest). The
+ *                                       valid app names are the
+ *                                       registry's (run/apps.hh);
+ *                                       `apird --list-apps` prints them
  *
  * Responses:
  *   {"status": "ok", ...}               op-specific payload
@@ -47,7 +50,7 @@ const char *priorityName(Priority p);
 /** One simulation request (the "sim" op). */
 struct SimRequest
 {
-    std::string app;      //!< benchmark name, e.g. "SPEC-BFS"
+    std::string app;      //!< registered app name, e.g. "SPEC-BFS"
     double scale = 1.0;   //!< workload size multiplier
     uint32_t seed = 42;   //!< workload generator seed
     Priority priority = Priority::Normal;

@@ -5,6 +5,7 @@
 
 #include "config/canonical.hh"
 #include "config/loader.hh"
+#include "run/apps.hh"
 #include "support/logging.hh"
 #include "support/str.hh"
 
@@ -84,12 +85,7 @@ SimService::handle(const SimRequest &req)
 std::string
 SimService::compute(const SimRequest &req)
 {
-    auto b = bench::benchFromName(req.app);
-    if (!b)
-        throw std::runtime_error(
-            "unknown app '" + req.app +
-            "' (expected SPEC-BFS, COOR-BFS, SPEC-SSSP, SPEC-MST, "
-            "SPEC-DMR or COOR-LU)");
+    bench::Bench b = bench::appNamed(req.app, "request 'app'");
     if (maxScale_ > 0.0 && req.scale > maxScale_)
         throw std::runtime_error(
             strprintf("scale %g exceeds this server's --max-scale %g",
@@ -98,9 +94,9 @@ SimService::compute(const SimRequest &req)
     AccelConfig cfg = configFor(req);
 
     auto simulate = [&]() -> std::string {
-        // The workload bundle is app-independent (bench_common
-        // generates every figure's inputs from one (scale, seed)
-        // pair), so six apps at one scale share a single generation.
+        // The workload bundle is app-independent (makeWorkloads
+        // generates every app's inputs from one (scale, seed) pair),
+        // so all apps at one scale share a single generation.
         std::shared_ptr<const bench::Workloads> w =
             workloads_.getOrCompute(
                 workloadKey(req.scale, req.seed), [&] {
@@ -114,7 +110,7 @@ SimService::compute(const SimRequest &req)
         ck.savePrefix = req.checkpointSavePrefix;
         ck.restorePrefix = req.checkpointRestorePrefix;
         bench::AccelRun run =
-            bench::runAccelerator(*b, *w, cfg, req.verify, ck);
+            bench::runAccelerator(b, *w, cfg, req.verify, ck);
 
         JsonValue rj = bench::runToJson(run);
         rj.set("benchmark", JsonValue::str(req.app));

@@ -32,7 +32,7 @@
 #include <memory>
 #include <string>
 
-#include "bench_common.hh"
+#include "run/run.hh"
 #include "dse/memo.hh"
 #include "server/protocol.hh"
 

@@ -41,30 +41,6 @@ TEST(BfsAlgo, ThreadsMatchSequential)
     EXPECT_EQ(bfsParallelThreads(g, 0, 4), ref);
 }
 
-TEST(BfsAlgo, EmulatedMatchesSequentialAndTimesRounds)
-{
-    CsrGraph g = roadNetwork(10, 30, 0.08, 0.05, 50, 3);
-    auto ref = bfsSequential(g, 0);
-    MulticoreConfig cfg;
-    auto run = bfsParallelEmulated(g, 0, cfg);
-    EXPECT_EQ(run.values, ref);
-    EXPECT_GT(run.seconds, 0.0);
-}
-
-TEST(BfsAlgo, EmulatedFasterWithMoreCores)
-{
-    CsrGraph g = rmatGraph(11, 8, 0.57, 0.19, 0.19, 10, 5);
-    MulticoreConfig one;
-    one.cores = 1;
-    one.barrierSeconds = 0.0;
-    MulticoreConfig ten;
-    ten.cores = 10;
-    ten.barrierSeconds = 0.0;
-    double t1 = bfsParallelEmulated(g, 0, one).seconds;
-    double t10 = bfsParallelEmulated(g, 0, ten).seconds;
-    EXPECT_LT(t10, t1);
-}
-
 /** Accelerator correctness across template parameters. */
 struct CfgCase
 {

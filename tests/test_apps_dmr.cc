@@ -36,15 +36,6 @@ TEST(DmrAlgo, ThreadsTerminateWithQualityMesh)
     mesh.checkConsistency();
 }
 
-TEST(DmrAlgo, EmulatedTerminatesAndTimes)
-{
-    RefineParams params;
-    Mesh mesh = randomDelaunayMesh(80, 5);
-    auto run = dmrParallelEmulated(mesh, params, MulticoreConfig{});
-    EXPECT_EQ(run.result.remainingBad, 0u);
-    EXPECT_GT(run.seconds, 0.0);
-}
-
 TEST(DmrAlgo, RefinementImprovesQuality)
 {
     RefineParams params;

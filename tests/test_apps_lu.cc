@@ -29,17 +29,6 @@ TEST(LuAlgo, ThreadsMatchSequential)
     EXPECT_LT(a.maxDiff(ref), 1e-10);
 }
 
-TEST(LuAlgo, EmulatedMatchesSequential)
-{
-    BlockSparseMatrix a = randomBlockSparse(6, 8, 0.3, 5);
-    BlockSparseMatrix ref = a;
-    sparseLuSequential(ref);
-
-    auto run = luParallelEmulated(a, MulticoreConfig{});
-    EXPECT_LT(a.maxDiff(ref), 1e-10);
-    EXPECT_GT(run.seconds, 0.0);
-}
-
 TEST(LuAlgo, FillInHappensOnSparseInputs)
 {
     BlockSparseMatrix a = randomBlockSparse(8, 4, 0.25, 7);

@@ -42,15 +42,6 @@ TEST(SsspAlgo, ThreadsMatchDijkstra)
     EXPECT_EQ(ssspParallelThreads(g, 0, 4), ref);
 }
 
-TEST(SsspAlgo, EmulatedMatchesDijkstra)
-{
-    CsrGraph g = rmatGraph(9, 5, 0.57, 0.19, 0.19, 30, 7);
-    auto ref = ssspSequential(g, 0);
-    auto run = ssspParallelEmulated(g, 0, MulticoreConfig{});
-    EXPECT_EQ(run.values, ref);
-    EXPECT_GT(run.seconds, 0.0);
-}
-
 class SsspAccelSweep
     : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t, bool>>
 {

@@ -408,8 +408,8 @@ TEST_P(CheckpointRoundTrip, ByteIdenticalAcrossModesAndSeeds)
             AccelConfig oracle = cfg;
             oracle.fastForward = false;
             std::string prefix = ::testing::TempDir() + "rt_" +
-                                 std::to_string(static_cast<int>(b)) +
-                                 "_" + std::to_string(combo++);
+                                 benchName(b) + "_" +
+                                 std::to_string(combo++);
             expectRoundTrip(b, w, cfg, prefix,
                             mode == 2 ? &oracle : nullptr);
         }
@@ -417,7 +417,7 @@ TEST_P(CheckpointRoundTrip, ByteIdenticalAcrossModesAndSeeds)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenches, CheckpointRoundTrip,
-                         ::testing::ValuesIn(kAllBenches), paramName);
+                         ::testing::ValuesIn(allApps()), paramName);
 
 /** Offset of the first byte where `a` and `b` differ, as text. */
 std::string
@@ -455,8 +455,7 @@ TEST_P(CheckpointDeterminism, FileBytesArePureFunctionOfState)
         uint64_t c1 = std::max<uint64_t>(1, cycles / 3);
         uint64_t c2 = std::max<uint64_t>(c1 + 1, cycles / 3 * 2);
         std::string prefix = ::testing::TempDir() + "det_" +
-                             std::to_string(static_cast<int>(b)) +
-                             (ff ? "_ff" : "_noff");
+                             benchName(b) + (ff ? "_ff" : "_noff");
         auto save = [&](uint64_t cycle, const std::string &tag,
                         const std::string &from) {
             CheckpointOptions ck;
@@ -481,7 +480,7 @@ TEST_P(CheckpointDeterminism, FileBytesArePureFunctionOfState)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenches, CheckpointDeterminism,
-                         ::testing::ValuesIn(kAllBenches), paramName);
+                         ::testing::ValuesIn(allApps()), paramName);
 
 TEST(CheckpointDeterminismExtra, SavesWhileMostStagesSleep)
 {
@@ -494,7 +493,9 @@ TEST(CheckpointDeterminismExtra, SavesWhileMostStagesSleep)
     AccelConfig cfg = defaultAccelConfig();
     cfg.mem.bandwidthScale = 0.05;
     Workloads w = makeWorkloads(0.05, 2);
-    for (Bench b : {Bench::SpecBfs, Bench::SpecMst, Bench::CoorLu}) {
+    for (Bench b : {appNamed("SPEC-BFS", "test"),
+                    appNamed("SPEC-MST", "test"),
+                    appNamed("COOR-LU", "test")}) {
         AccelRun base = runAccelerator(b, w, cfg);
         uint64_t stages = 0;
         for (const StatGroup &g : base.rr.groups)
@@ -508,7 +509,7 @@ TEST(CheckpointDeterminismExtra, SavesWhileMostStagesSleep)
         uint64_t c1 = base.rr.cycles / 3;
         uint64_t c2 = base.rr.cycles / 3 * 2;
         std::string prefix = ::testing::TempDir() + "sleep_" +
-                             std::to_string(static_cast<int>(b));
+                             benchName(b);
         CheckpointOptions s1;
         s1.saveCycle = c1;
         s1.savePrefix = prefix + "_c1";
@@ -541,10 +542,11 @@ TEST(CheckpointRoundTripExtra, DegenerateMshr1MachineWithElasticLsu)
     cfg.mem.cache.mshrs = 1;
     cfg.mem.cache.prefetchNextLine = false;
     Workloads w = makeWorkloads(0.02, 1);
-    for (Bench b : {Bench::SpecBfs, Bench::SpecSssp})
+    for (Bench b :
+         {appNamed("SPEC-BFS", "test"), appNamed("SPEC-SSSP", "test")})
         expectRoundTrip(b, w, cfg,
                         ::testing::TempDir() + "rt_mshr1_" +
-                            std::to_string(static_cast<int>(b)));
+                            benchName(b));
 }
 
 // ----------------------------------------------------- e2e rejection paths
@@ -558,8 +560,8 @@ TEST(CheckpointRestore, SaveCycleAfterDrainIsFatal)
     save.savePrefix = ::testing::TempDir() + "late_save";
     ScopedFatalThrows guard;
     EXPECT_THROW(
-        runAccelerator(Bench::CoorBfs, w, defaultAccelConfig(), false,
-                       save),
+        runAccelerator(appNamed("COOR-BFS", "test"), w, defaultAccelConfig(),
+                       false, save),
         FatalError);
 }
 
@@ -570,8 +572,8 @@ TEST(CheckpointRestore, MissingCheckpointFileIsFatal)
     rest.restorePrefix = ::testing::TempDir() + "no_such_prefix";
     ScopedFatalThrows guard;
     EXPECT_THROW(
-        runAccelerator(Bench::CoorBfs, w, defaultAccelConfig(), false,
-                       rest),
+        runAccelerator(appNamed("COOR-BFS", "test"), w, defaultAccelConfig(),
+                       false, rest),
         FatalError);
 }
 
@@ -581,11 +583,11 @@ savedPrefix(const Workloads &w, const AccelConfig &cfg,
             const std::string &name)
 {
     std::string prefix = ::testing::TempDir() + name;
-    AccelRun base = runAccelerator(Bench::CoorBfs, w, cfg);
+    AccelRun base = runAccelerator(appNamed("COOR-BFS", "test"), w, cfg);
     CheckpointOptions save;
     save.saveCycle = std::max<uint64_t>(1, base.rr.cycles / 2);
     save.savePrefix = prefix;
-    runAccelerator(Bench::CoorBfs, w, cfg, false, save);
+    runAccelerator(appNamed("COOR-BFS", "test"), w, cfg, false, save);
     return prefix;
 }
 
@@ -598,7 +600,8 @@ TEST(CheckpointRestore, StructuralConfigMismatchIsFatal)
     CheckpointOptions rest;
     rest.restorePrefix = prefix;
     ScopedFatalThrows guard;
-    EXPECT_THROW(runAccelerator(Bench::CoorBfs, w, cfg, false, rest),
+    EXPECT_THROW(runAccelerator(appNamed("COOR-BFS", "test"), w, cfg,
+                                false, rest),
                  FatalError);
 }
 
@@ -611,7 +614,8 @@ TEST(CheckpointRestore, WorkloadSeedMismatchIsFatal)
     CheckpointOptions rest;
     rest.restorePrefix = prefix;
     ScopedFatalThrows guard;
-    EXPECT_THROW(runAccelerator(Bench::CoorBfs, other, cfg, false, rest),
+    EXPECT_THROW(runAccelerator(appNamed("COOR-BFS", "test"), other, cfg,
+                                false, rest),
                  FatalError);
 }
 
@@ -622,12 +626,13 @@ TEST(CheckpointRestore, BenchmarkMismatchIsFatal)
     Workloads w = makeWorkloads(0.02, 1);
     AccelConfig cfg = defaultAccelConfig();
     std::string prefix = savedPrefix(w, cfg, "bench_mismatch");
-    std::string stolen = checkpointPath(prefix, Bench::SpecSssp);
-    spit(stolen, slurp(checkpointPath(prefix, Bench::CoorBfs)));
+    std::string stolen = checkpointPath(prefix, appNamed("SPEC-SSSP", "test"));
+    spit(stolen, slurp(checkpointPath(prefix, appNamed("COOR-BFS", "test"))));
     CheckpointOptions rest;
     rest.restorePrefix = prefix;
     ScopedFatalThrows guard;
-    EXPECT_THROW(runAccelerator(Bench::SpecSssp, w, cfg, false, rest),
+    EXPECT_THROW(runAccelerator(appNamed("SPEC-SSSP", "test"), w, cfg,
+                                false, rest),
                  FatalError);
 }
 
@@ -636,14 +641,15 @@ TEST(CheckpointRestore, TrailingBytesInFileAreFatal)
     Workloads w = makeWorkloads(0.02, 1);
     AccelConfig cfg = defaultAccelConfig();
     std::string prefix = savedPrefix(w, cfg, "trailing_e2e");
-    std::string path = checkpointPath(prefix, Bench::CoorBfs);
+    std::string path = checkpointPath(prefix, appNamed("COOR-BFS", "test"));
     auto bytes = slurp(path);
     bytes.push_back(0x00);
     spit(path, bytes);
     CheckpointOptions rest;
     rest.restorePrefix = prefix;
     ScopedFatalThrows guard;
-    EXPECT_THROW(runAccelerator(Bench::CoorBfs, w, cfg, false, rest),
+    EXPECT_THROW(runAccelerator(appNamed("COOR-BFS", "test"), w, cfg,
+                                false, rest),
                  FatalError);
 }
 
@@ -654,12 +660,13 @@ TEST(CheckpointRestore, CraftedLaneCountIsFatal)
     // attempted allocation.
     Workloads w = makeWorkloads(0.02, 1);
     AccelConfig cfg = defaultAccelConfig();
-    AccelRun base = runAccelerator(Bench::SpecBfs, w, cfg);
+    AccelRun base = runAccelerator(appNamed("SPEC-BFS", "test"), w, cfg);
     CheckpointOptions save;
     save.saveCycle = std::max<uint64_t>(1, base.rr.cycles / 2);
     save.savePrefix = ::testing::TempDir() + "crafted_lanes";
-    runAccelerator(Bench::SpecBfs, w, cfg, false, save);
-    std::string path = checkpointPath(save.savePrefix, Bench::SpecBfs);
+    runAccelerator(appNamed("SPEC-BFS", "test"), w, cfg, false, save);
+    std::string path =
+        checkpointPath(save.savePrefix, appNamed("SPEC-BFS", "test"));
     auto bytes = slurp(path);
     // Payload: u64 engine count, then the first engine's lane count.
     size_t at = sectionPayload(bytes, "accel.engines");
@@ -673,7 +680,7 @@ TEST(CheckpointRestore, CraftedLaneCountIsFatal)
     rest.restorePrefix = save.savePrefix;
     ScopedFatalThrows guard;
     try {
-        runAccelerator(Bench::SpecBfs, w, cfg, false, rest);
+        runAccelerator(appNamed("SPEC-BFS", "test"), w, cfg, false, rest);
         ADD_FAILURE() << "crafted lane count was accepted";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("restore requires the same "
@@ -739,7 +746,7 @@ TEST(CheckpointRestore, TimingOnlyKnobsMayDiffer)
     CheckpointOptions rest;
     rest.restorePrefix = prefix;
     AccelRun run =
-        runAccelerator(Bench::CoorBfs, w, faster, false, rest);
+        runAccelerator(appNamed("COOR-BFS", "test"), w, faster, false, rest);
     setQuietLogging(false);
     EXPECT_GT(run.rr.cycles, 0u);
     EXPECT_GT(run.rr.tasksExecuted, 0u);
@@ -757,19 +764,19 @@ TEST(CheckpointRestore, AutoSaveCalibratesToTheRunAndRoundTrips)
     // perturb the reported results.
     Workloads w = makeWorkloads(0.02, 1);
     AccelConfig cfg = defaultAccelConfig();
-    std::string baseline = statsOf(Bench::SpecBfs, w, cfg);
+    std::string baseline = statsOf(appNamed("SPEC-BFS", "test"), w, cfg);
     std::string prefix = ::testing::TempDir() + "auto_save";
 
     CheckpointOptions save;
     save.saveAuto = true;
     save.savePrefix = prefix;
-    EXPECT_EQ(statsOf(Bench::SpecBfs, w, cfg, save), baseline)
+    EXPECT_EQ(statsOf(appNamed("SPEC-BFS", "test"), w, cfg, save), baseline)
         << "auto-calibrated save run diverged";
 
     CheckpointOptions rest;
     rest.restorePrefix = prefix;
     AccelRun restored =
-        runAccelerator(Bench::SpecBfs, w, cfg, false, rest);
+        runAccelerator(appNamed("SPEC-BFS", "test"), w, cfg, false, rest);
     EXPECT_EQ(runToJson(restored).dump(), baseline)
         << "run restored from an auto checkpoint diverged";
     // The calibrated save point is 3/4 of the drain cycle, so the

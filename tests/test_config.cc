@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -35,8 +38,16 @@ class ConfDir
   public:
     ConfDir()
     {
+        // gtest_discover_tests runs every test in its own process, so
+        // a per-process counter alone would collide across parallel
+        // ctest jobs; the pid and test name keep directories apart.
+        std::string test = ::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name();
+        std::replace(test.begin(), test.end(), '/', '_');
         dir_ = fs::path(::testing::TempDir()) /
-               ("conf_" + std::to_string(counter_++));
+               ("conf_" + std::to_string(::getpid()) + "_" + test + "_" +
+                std::to_string(counter_++));
         fs::create_directories(dir_);
     }
 
@@ -598,9 +609,9 @@ TEST(ScenarioCorpus, HarpDefaultRunIsBitIdenticalToCompiledConfig)
         std::string(APIR_SCENARIO_DIR) + "/harp_default.conf";
     Scenario s = loadScenarioFile(path, defaultAccelConfig());
     Workloads w = makeWorkloads(0.05);
-    AccelRun a = runAccelerator(Bench::SpecBfs, w, s.accel, false);
+    AccelRun a = runAccelerator(appNamed("SPEC-BFS", "test"), w, s.accel);
     AccelRun b =
-        runAccelerator(Bench::SpecBfs, w, defaultAccelConfig(), false);
+        runAccelerator(appNamed("SPEC-BFS", "test"), w, defaultAccelConfig());
     EXPECT_EQ(runToJson(a).dump(), runToJson(b).dump());
 }
 

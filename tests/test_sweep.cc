@@ -159,12 +159,15 @@ TEST(SweepOptionsDeath, ZeroThreadsIsFatal)
 
 // ----------------------------------------------------- sweep semantics
 
-/** A small fig9-style sweep serialized the way --stats-json does. */
+/**
+ * A small fig9-style sweep over every registered app, verified,
+ * serialized the way --stats-json does.
+ */
 std::string
 sweepJsonString(const Workloads &w, unsigned threads)
 {
     std::vector<SweepJob> jobs;
-    for (Bench b : {Bench::SpecBfs, Bench::CoorBfs, Bench::SpecSssp}) {
+    for (Bench b : allApps()) {
         jobs.push_back({b, defaultAccelConfig(), true, {}});
         AccelConfig wide = defaultAccelConfig();
         wide.pipelinesPerSet = 8;
@@ -200,7 +203,7 @@ TEST(Sweep, ResultsArriveInSubmissionOrder)
     for (uint32_t np : {1u, 2u, 4u}) {
         AccelConfig cfg = defaultAccelConfig();
         cfg.pipelinesPerSet = np;
-        jobs.push_back({Bench::SpecBfs, cfg, false, {}});
+        jobs.push_back({appNamed("SPEC-BFS", "test"), cfg, false, {}});
     }
     std::vector<AccelRun> runs = runSweep(jobs, w, 3);
     ASSERT_EQ(runs.size(), jobs.size());
@@ -216,7 +219,8 @@ TEST(SweepDeath, TraceHooksRequireSerialExecution)
     setQuietLogging(true);
     Workloads w = makeWorkloads(0.02);
     std::ostringstream trace;
-    SweepJob job{Bench::SpecBfs, defaultAccelConfig(), false, {}};
+    SweepJob job{appNamed("SPEC-BFS", "test"), defaultAccelConfig(), false,
+                 {}};
     job.cfg.trace = &trace;
     EXPECT_EXIT(runSweep({job}, w, 2), ::testing::ExitedWithCode(1),
                 "trace hooks");

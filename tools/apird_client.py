@@ -39,8 +39,6 @@ import tempfile
 import threading
 import time
 
-APPS = ["SPEC-BFS", "COOR-BFS", "SPEC-SSSP", "SPEC-MST", "SPEC-DMR",
-        "COOR-LU"]
 PRIORITIES = ["high", "normal", "low"]
 
 
@@ -119,18 +117,28 @@ def check(cond, what):
         raise SystemExit(f"soak assertion failed: {what}")
 
 
-def build_request_mix(n, scale):
-    """n mixed-priority requests over a deliberately small key space,
-    so the caches see both misses and hits."""
+def list_apps(apird):
+    """The apps the daemon serves, in registry order."""
+    out = subprocess.run([apird, "--list-apps"], capture_output=True,
+                         text=True, check=True).stdout
+    return out.split()
+
+
+def build_request_mix(apps, n, scale):
+    """n mixed-priority requests over n // 2 keys, so every key is
+    asked for twice (the caches see both misses and hits) whatever the
+    number of apps; n >= 2 * len(apps) covers every app."""
+    keys = max(1, n // 2)
     reqs = []
     for i in range(n):
+        k = i % keys
         req = {
-            "app": APPS[i % len(APPS)],
-            "scale": scale if i % 4 != 3 else scale * 2,
-            "seed": 42 if i % 3 != 2 else 7,
+            "app": apps[k % len(apps)],
+            "scale": scale if k % 4 != 3 else scale * 2,
+            "seed": 42 if k % 3 != 2 else 7,
             "priority": PRIORITIES[i % len(PRIORITIES)],
         }
-        if i % 8 == 5:
+        if k % 8 == 5:
             req["config"] = "apird_soak"
         reqs.append(json.dumps(req))
     return reqs
@@ -167,7 +175,8 @@ def soak(args):
         assert probe.rpc({"op": "ping"})["event"] == "pong"
 
         # Phase 1: concurrent mixed-priority burst.
-        lines = build_request_mix(args.clients, args.scale)
+        lines = build_request_mix(list_apps(args.apird), args.clients,
+                                  args.scale)
         t0 = time.monotonic()
         responses = fire_concurrently(daemon.port, lines)
         dt = time.monotonic() - t0
@@ -225,6 +234,8 @@ def soak(args):
                         or req.get("seed", 42) != 42
                         or "config" in req):
                     continue
+                if req["app"] not in by_bench:
+                    continue  # fig9 runs only the paper's figure apps
                 run = json.loads(served)["run"]
                 ref = by_bench[req["app"]]
                 for field in ("cycles", "seconds", "utilization",
@@ -322,7 +333,8 @@ def throughput(args):
                     scenario_dir=args.scenario_dir)
     try:
         # Warm nothing: the hit rate below includes the cold misses.
-        lines = [json.dumps({"app": APPS[i % len(APPS)],
+        apps = list_apps(args.apird)
+        lines = [json.dumps({"app": apps[i % len(apps)],
                              "scale": args.scale,
                              "priority": PRIORITIES[i % 3]})
                  for i in range(args.requests)]
